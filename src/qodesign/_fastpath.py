@@ -9,9 +9,15 @@ Each supported carrier maps onto a scalar algebra numpy can drive:
 - bool:    boolean matrices
 - bits:    powersets up to 63 names, one bit per name
 
-Callers fall back to generic element loops when mode_for returns None.
-The kernels return the first violating output cell; callers reconstruct
-the full witness with exact carrier operations.
+mode_for returns None, and callers fall back to generic element loops,
+for other carriers and for nat tables holding a finite value of
+NAT_EXACT_BELOW or more.  The check kernels return the first violating
+output cell; callers reconstruct the full witness with exact carrier
+operations.  outer_product gives the values of a tensor category or a
+parallel composite; callers take it for outputs of OUTER_MIN_CELLS or
+more and decode it with decode_shared, one payload object per distinct
+value.  hom_array reads a hom through its category's memo of encoded
+arrays, which tensor fills with the array it computed.
 """
 
 from __future__ import annotations
@@ -23,11 +29,29 @@ import numpy as np
 _PACE_RANK = {"E": 0.0, "C": 1.0, "A": 2.0, "P": 3.0}
 _PACE_BY_RANK = ("E", "C", "A", "P")
 
+# Tensor and parallel outputs with fewer cells than this take the element
+# loop, which measured faster there: 10-20 us ahead at 2x2 factors (16
+# cells), while the array path is ~2x ahead at 3x3 (81 cells) and 7-9x
+# ahead at 5x5.
+OUTER_MIN_CELLS = 64
 
-def mode_for(q):
+# nat runs on float64, exact for integers below 2**53.  The bimodule check
+# adds three values, and 3 * 2**51 < 2**53.
+NAT_EXACT_BELOW = 2**51
+
+
+def mode_for(q, *tables):
+    """Kernel mode for q, or None for the element loop.
+
+    tables are the payload rows the caller is about to encode; only nat
+    looks at them.
+    """
     kind = q.kind
-    if kind in ("cost", "nat"):
+    if kind == "cost":
         return "minplus"
+    if kind == "nat":
+        values = (v for t in tables for row in t for v in row)
+        return "minplus" if all(v < NAT_EXACT_BELOW or v == math.inf for v in values) else None
     if kind == "bool":
         return "bool"
     if kind == "pace":
@@ -46,14 +70,12 @@ def encode(q, mode, rows):
         return np.array([[bool(v) for v in row] for row in rows], dtype=bool)
     if mode == "bits":
         index = {name: i for i, name in enumerate(q.params["base"])}
-        out = np.zeros((len(rows), len(rows[0]) if rows else 0), dtype=np.uint64)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                mask = 0
-                for e in v:
-                    mask |= 1 << index[e]
-                out[i, j] = mask
-        return out
+        # one mask per distinct payload; frozenset() of a frozenset is the
+        # object itself, whose hash is cached
+        flat = [frozenset(v) for row in rows for v in row]
+        masks = {v: sum(1 << index[e] for e in v) for v in set(flat)}
+        out = np.array([masks[v] for v in flat], dtype=np.uint64)
+        return out.reshape(len(rows), len(rows[0]) if rows else 0)
     if q.kind == "pace":
         return np.array([[_PACE_RANK[v] for v in row] for row in rows], dtype=float)
     return np.array([[float(v) for v in row] for row in rows], dtype=float)
@@ -80,6 +102,40 @@ def decode(q, mode, arr):
             [math.inf if math.isinf(v) else int(round(v)) for v in row] for row in arr
         ]
     return [[float(v) for v in row] for row in arr]
+
+
+def decode_shared(q, mode, arr):
+    """decode(q, mode, arr), with every cell of one value holding one
+    shared payload object: each distinct value is decoded once."""
+    values, inverse = np.unique(arr, return_inverse=True)
+    payloads = np.array(decode(q, mode, values[None, :])[0], dtype=object)
+    return payloads[inverse.reshape(arr.shape)].tolist()
+
+
+def hom_array(q, mode, hom, arrays=None):
+    """encode(q, mode, hom), read from and kept in arrays, the per-mode memo
+    of the category hom belongs to (QCategory._arrays)."""
+    if arrays is None:
+        return encode(q, mode, hom)
+    if mode not in arrays:
+        arrays[mode] = encode(q, mode, hom)
+    return arrays[mode]
+
+
+def outer_product(mode, a, b):
+    """out[(i,k),(j,l)] = a[i,j] * b[k,l]: rows (i,k), columns (j,l)."""
+    x, y = a[:, None, :, None], b[None, :, None, :]
+    if mode == "minplus":
+        out = x + y
+    elif mode == "godel":
+        out = np.minimum(x, y)
+    elif mode == "goguen":
+        out = x * y
+    elif mode == "luk":
+        out = np.maximum(x + y - 1.0, 0.0)
+    else:  # bool, bits
+        out = x & y
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 # -- scalar-algebra matrix products ----------------------------------------

@@ -8,7 +8,8 @@ quantale, satisfying
 
 Rows index the first argument.  Bool-enriched categories are preorders;
 cost-enriched ones are generalized metric spaces.  Instances are immutable
-and validated at construction, so they are safe for shared reads.
+and validated at construction, so they are safe for shared reads; their
+memo of encoded homs is filled on first read, from the immutable hom.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class QCategory:
         object.__setattr__(
             self, "_index", {name: i for i, name in enumerate(self.objects)}
         )
+        # kernel mode -> hom as an array, read through _fastpath.hom_array
+        object.__setattr__(self, "_arrays", {})
 
     def __repr__(self):
         return (
@@ -72,45 +75,63 @@ class QCategory:
         return True
 
 
-def _normalize_matrix(q: Quantale, objects, rows, what: str):
-    n = len(objects)
-    if len(rows) != n:
-        raise CategoryError(f"{what}: expected {n} rows, got {len(rows)}")
+def _normalize_table(
+    q: Quantale, row_names, col_names, rows, error, prefix: str = "", noun: str = "row"
+):
+    """rows as a tuple of tuples of normalized payloads, shape checked.
+
+    Each distinct payload object is normalized, and so checked for
+    membership, once: shared payloads (decode_shared's) cost one call.
+    Failures raise error naming the entry.
+    """
+    if len(rows) != len(row_names):
+        raise error(f"{prefix}expected {len(row_names)} {noun}s, got {len(rows)}")
+    n = len(col_names)
+    done = {}  # id(payload) -> normalized payload
+    alive = []  # the payloads keyed in done, so that no id is reused
     out = []
     for i, row in enumerate(rows):
         row = list(row)
         if len(row) != n:
-            raise CategoryError(
-                f"{what}: row for {objects[i]!r} has {len(row)} entries, expected {n}"
+            raise error(
+                f"{prefix}{noun} for {row_names[i]!r} has {len(row)} entries, expected {n}"
             )
         normalized = []
         for j, v in enumerate(row):
-            try:
-                normalized.append(q.normalize(v))
-            except QuantaleError as exc:
-                raise CategoryError(
-                    f"{what}: entry ({objects[i]!r}, {objects[j]!r}): {exc}"
-                ) from None
+            p = done.get(id(v))
+            if p is None:
+                try:
+                    p = done[id(v)] = q.normalize(v)
+                except QuantaleError as exc:
+                    raise error(
+                        f"{prefix}entry ({row_names[i]!r}, {col_names[j]!r}): {exc}"
+                    ) from None
+                alive.append(v)
+            normalized.append(p)
         out.append(tuple(normalized))
     return tuple(out)
 
 
-def check_category_axioms(q: Quantale, objects, hom, method: str = "auto"):
+def check_category_axioms(
+    q: Quantale, objects, hom, method: str = "auto", arrays: dict = None
+):
     """Return None when both axioms hold, else a witness description.
 
     The witness is ("identity", x) or ("composition", x, y, z) with object
     names.  method "generic" forces the element-wise triple loop; "auto"
-    uses the vectorized kernel when the carrier supports one.
+    uses the vectorized kernel when the carrier supports one.  arrays is
+    the per-mode memo of encoded homs of the category hom belongs to.
     """
     n = len(objects)
     for i in range(n):
         if not q.leq(q.unit, hom[i][i]):
             return ("identity", objects[i])
-    mode = _fastpath.mode_for(q) if method == "auto" else None
+    mode = _fastpath.mode_for(q, hom) if method == "auto" else None
     if mode is not None and n >= 2:
         from .values import float_tol
 
-        cell = _fastpath.category_violation(mode, _fastpath.encode(q, mode, hom), float_tol())
+        h = _fastpath.hom_array(q, mode, hom, arrays)
+        cell = _fastpath.category_violation(mode, h, float_tol())
         if cell is None:
             return None
         x, z = cell
@@ -127,7 +148,12 @@ def check_category_axioms(q: Quantale, objects, hom, method: str = "auto"):
     return None
 
 
-def _raise_axiom(q: Quantale, witness, context: str = ""):
+def _validate(cat: QCategory, context: str = ""):
+    """Raise CategoryError naming a witness if cat breaks an axiom."""
+    q = cat.quantale
+    witness = check_category_axioms(q, cat.objects, cat.hom, arrays=cat._arrays)
+    if witness is None:
+        return
     suffix = f" {context}" if context else ""
     if witness[0] == "identity":
         raise CategoryError(
@@ -157,12 +183,10 @@ def build_category(
     if len(set(objs)) != len(objs):
         dup = next(o for i, o in enumerate(objs) if o in objs[:i])
         raise CategoryError(f"duplicate object name {dup!r}")
-    rows = _normalize_matrix(quantale, objs, hom, "hom matrix")
+    rows = _normalize_table(quantale, objs, objs, hom, CategoryError, "hom matrix: ")
     cat = QCategory(quantale, objs, rows, factors)
     if validate:
-        witness = check_category_axioms(quantale, objs, rows)
-        if witness is not None:
-            _raise_axiom(quantale, witness)
+        _validate(cat)
     return cat
 
 
@@ -262,6 +286,23 @@ def pair_name(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def _outer_values(q: Quantale, a, b, a_arrays=None, b_arrays=None):
+    """(rows, arrays): rows (i,k), columns (j,l) of a[i][j] * b[k][l], and
+    {mode: the array they were decoded from}, empty after the element loop.
+    a_arrays and b_arrays are the operands' memos when they are homs."""
+    cells = len(a) * len(b) * (len(a[0]) if a else 0) * (len(b[0]) if b else 0)
+    mode = _fastpath.mode_for(q, a, b)
+    if mode is not None and cells >= _fastpath.OUTER_MIN_CELLS:
+        arr = _fastpath.outer_product(
+            mode,
+            _fastpath.hom_array(q, mode, a, a_arrays),
+            _fastpath.hom_array(q, mode, b, b_arrays),
+        )
+        return _fastpath.decode_shared(q, mode, arr), {mode: arr}
+    mult = q.mult
+    return [[mult(x, y) for x in ra for y in rb] for ra in a for rb in b], {}
+
+
 def tensor(c: QCategory, d: QCategory, validate: bool = True) -> QCategory:
     """Product category: paired objects, homs multiplied pointwise."""
     if not compatible(c.quantale, d.quantale):
@@ -270,20 +311,12 @@ def tensor(c: QCategory, d: QCategory, validate: bool = True) -> QCategory:
         )
     q = c.quantale
     objs = [pair_name(a, b) for a in c.objects for b in d.objects]
-    nd = len(d.objects)
-    mult = q.mult
-    hom = []
-    for i, _ in enumerate(c.objects):
-        crow = c.hom[i]
-        for k, _ in enumerate(d.objects):
-            drow = d.hom[k]
-            row = []
-            for j, _ in enumerate(c.objects):
-                cij = crow[j]
-                for l in range(nd):
-                    row.append(mult(cij, drow[l]))
-            hom.append(row)
-    return build_category(q, objs, hom, validate=validate, factors=(c, d))
+    hom, arrays = _outer_values(q, c.hom, d.hom, c._arrays, d._arrays)
+    cat = build_category(q, objs, hom, validate=False, factors=(c, d))
+    cat._arrays.update(arrays)
+    if validate:
+        _validate(cat)
+    return cat
 
 
 def pushforward(
@@ -314,16 +347,9 @@ def pushforward(
         factors = tuple(
             pushforward(f, phi, force=force, validate=False) for f in c.factors
         )
-    cat = QCategory(
-        q2, c.objects, _normalize_matrix(q2, c.objects, hom, "pushforward"), factors
-    )
+    rows = _normalize_table(q2, c.objects, c.objects, hom, CategoryError, "pushforward: ")
+    cat = QCategory(q2, c.objects, rows, factors)
     if validate:
-        witness = check_category_axioms(q2, c.objects, cat.hom)
-        if witness is not None:
-            context = (
-                f"(pushforward through forced unverified map {phi.name})"
-                if force
-                else f"(pushforward through {phi.name})"
-            )
-            _raise_axiom(q2, witness, context)
+        forced = "forced unverified map " if force else ""
+        _validate(cat, f"(pushforward through {forced}{phi.name})")
     return cat

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _fastpath
-from .categories import QCategory, tensor
-from .errors import CompositionError, ProblemError, QuantaleError
+from .categories import QCategory, _normalize_table, _outer_values, tensor
+from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
 from .values import QValue, float_tol
 
@@ -53,28 +53,9 @@ class DesignProblem:
 
 
 def _normalize_values(q: Quantale, source, target, rows):
-    if len(rows) != len(source.objects):
-        raise ProblemError(
-            f"expected {len(source.objects)} value rows, got {len(rows)}"
-        )
-    out = []
-    for i, row in enumerate(rows):
-        row = list(row)
-        if len(row) != len(target.objects):
-            raise ProblemError(
-                f"value row for {source.objects[i]!r} has {len(row)} entries, "
-                f"expected {len(target.objects)}"
-            )
-        norm = []
-        for j, v in enumerate(row):
-            try:
-                norm.append(q.normalize(v))
-            except QuantaleError as exc:
-                raise ProblemError(
-                    f"entry ({source.objects[i]!r}, {target.objects[j]!r}): {exc}"
-                ) from None
-        out.append(tuple(norm))
-    return tuple(out)
+    return _normalize_table(
+        q, source.objects, target.objects, rows, ProblemError, noun="value row"
+    )
 
 
 def check_bimodule(d: DesignProblem, method: str = "auto"):
@@ -84,12 +65,12 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
     nr, nf = len(d.source.objects), len(d.target.objects)
     if nr == 0 or nf == 0:
         return None
-    mode = _fastpath.mode_for(q) if method == "auto" else None
+    mode = _fastpath.mode_for(q, R, F, V) if method == "auto" else None
     if mode is not None:
         cell = _fastpath.bimodule_violation(
             mode,
-            _fastpath.encode(q, mode, R),
-            _fastpath.encode(q, mode, F),
+            _fastpath.hom_array(q, mode, R, d.source._arrays),
+            _fastpath.hom_array(q, mode, F, d.target._arrays),
             _fastpath.encode(q, mode, V),
             float_tol(),
         )
@@ -240,7 +221,7 @@ def _first_diff(xs, ys):
 
 
 def _series_values(q: Quantale, a_rows, b_rows, n_mid: int, n_out: int):
-    mode = _fastpath.mode_for(q)
+    mode = _fastpath.mode_for(q, a_rows, b_rows)
     if mode is not None and len(a_rows) and n_out and n_mid:
         arr = _fastpath.series_product(
             mode,
@@ -304,11 +285,7 @@ def parallel(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Des
         raise CompositionError("parallel: problems over different quantales")
     src = tensor(d1.source, d2.source, validate=False)
     tgt = tensor(d1.target, d2.target, validate=False)
-    mult = q.mult
-    vals = []
-    for row1 in d1.values:
-        for row2 in d2.values:
-            vals.append([mult(a, b) for a in row1 for b in row2])
+    vals, _ = _outer_values(q, d1.values, d2.values)
     out = DesignProblem(src, tgt, _normalize_values(q, src, tgt, vals))
     if validate:
         witness = check_bimodule(out)
@@ -339,12 +316,10 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
     r_cat, f_cat = _trace_factors(d, loop)
     q = d.quantale
     nr, nm, nf = len(r_cat.objects), len(loop.objects), len(f_cat.objects)
-    mode = _fastpath.mode_for(q)
+    mode = _fastpath.mode_for(q, d.values, loop.hom)
     if mode is not None and nr and nf:
-        import numpy as np
-
         d4 = _fastpath.encode(q, mode, d.values).reshape(nr, nm, nf, nm)
-        m_arr = _fastpath.encode(q, mode, loop.hom) if nm else np.zeros((0, 0))
+        m_arr = _fastpath.hom_array(q, mode, loop.hom, loop._arrays)
         vals = _fastpath.decode(q, mode, _fastpath.trace_values(mode, d4, m_arr))
     else:
         vals = []

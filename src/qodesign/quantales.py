@@ -358,6 +358,8 @@ def make_powerset(base: Iterable[str], name: str = None) -> Quantale:
     full = frozenset(base_list)
 
     def norm(x):
+        if isinstance(x, frozenset) and x <= full:
+            return x
         if isinstance(x, (set, frozenset, list, tuple)):
             return frozenset(str(e) for e in x)
         return x

@@ -45,6 +45,14 @@ def quantale_families():
     }
 
 
+def wide_families():
+    """quantale_families() plus a 64-name powerset, one name past the
+    bitset kernel, so it runs the generic element loops."""
+    fams = quantale_families()
+    fams["powerset64"] = lambda: make_powerset([f"n{i}" for i in range(64)])
+    return fams
+
+
 def finite_families():
     names = ("bool", "pace", "powerset", "product")
     fams = quantale_families()

@@ -14,6 +14,7 @@ from qodesign import (
     cost_quantale,
     discrete_category,
     from_order,
+    make_powerset,
     nat_grid_category,
     nat_quantale,
     pace_quantale,
@@ -23,7 +24,7 @@ from qodesign import (
 )
 from qodesign import builtin_lax
 
-from conftest import quantale_families, random_category
+from conftest import quantale_families, random_category, wide_families
 
 
 def oracle_axioms(q, hom):
@@ -54,6 +55,9 @@ def test_axiom_checker_matches_oracle(rng):
             got = check_category_axioms(q, objs, hom)
             want = oracle_axioms(q, hom)
             assert (got is None) == (want is None), (name, got, want)
+            if q.kind == "powerset":  # unhashable set payloads, as given by callers
+                raw = [[set(v) for v in row] for row in hom]
+                assert check_category_axioms(q, objs, raw) == got, name
             agree += 1
         assert agree == 30
 
@@ -106,20 +110,43 @@ def test_nat_grid_hom_counts_shortfall():
 
 
 def test_tensor_pointwise(rng):
-    q = pace_quantale()
-    a = random_category(q, rng, 2, 3)
-    b = random_category(q, rng, 2, 3)
+    # 2-object factors give 16-cell homs (element loop), 6-object factors
+    # 144 and 1296 cells (array kernel); discrete factors put the bottom
+    # (inf, 0) off the diagonal.
+    for name, mk in wide_families().items():
+        q = mk()
+        for na, nb in ((2, 2), (2, 6), (6, 6)):
+            a = random_category(q, rng, na, na)
+            discrete = discrete_category(q, [f"y{i}" for i in range(nb)])
+            for b in (random_category(q, rng, nb, nb), discrete):
+                t = tensor(a, b)
+                assert t.factors == (a, b)
+                for i, oa in enumerate(a.objects):
+                    for j, ob in enumerate(b.objects):
+                        assert t.objects[i * nb + j] == pair_name(oa, ob)
+                        for i2, oa2 in enumerate(a.objects):
+                            for j2, ob2 in enumerate(b.objects):
+                                got = t.hom_payload(pair_name(oa, ob), pair_name(oa2, ob2))
+                                assert got == q.mult(a.hom[i][i2], b.hom[j][j2]), name
+
+
+def test_tensor_hom_holds_one_payload_per_value(rng):
+    for q in (make_powerset("abcd"), cost_quantale()):
+        t = tensor(random_category(q, rng, 6, 6), random_category(q, rng, 6, 6))
+        cells = [v for row in t.hom for v in row]
+        assert len({id(v) for v in cells}) == len(set(cells)) < len(cells)
+
+
+def test_tensor_of_huge_nats_is_exact():
+    # 81 cells, above the array floor; 10**17 + 1 + 1 is not a float64.
+    q = nat_quantale()
+    a = nat_grid_category([0, 1, 10**17 + 1], q)
+    b = nat_grid_category([0, 1, 2], q)
     t = tensor(a, b)
-    assert t.factors == (a, b)
-    for i, oa in enumerate(a.objects):
-        for j, ob in enumerate(b.objects):
-            assert t.objects[i * len(b.objects) + j] == pair_name(oa, ob)
-            for i2, oa2 in enumerate(a.objects):
-                for j2, ob2 in enumerate(b.objects):
-                    assert q.equal(
-                        t.hom_payload(pair_name(oa, ob), pair_name(oa2, ob2)),
-                        q.mult(a.hom[i][i2], b.hom[j][j2]),
-                    )
+    assert t.hom_payload(pair_name("0", "0"), pair_name(str(10**17 + 1), "1")) == 10**17 + 2
+    for i, row in enumerate(t.hom):
+        for j, v in enumerate(row):
+            assert v == a.hom[i // 3][j // 3] + b.hom[i % 3][j % 3]
 
 
 def test_tensor_requires_same_quantale():

@@ -7,6 +7,7 @@ import pytest
 
 from qodesign import (
     CompositionError,
+    DesignProblem,
     ProblemError,
     QValue,
     bool_quantale,
@@ -19,6 +20,8 @@ from qodesign import (
     discrete_category,
     evaluate,
     identity_problem,
+    nat_grid_category,
+    nat_quantale,
     pair_name,
     parallel,
     pareto_front,
@@ -35,7 +38,9 @@ from conftest import (
     random_category,
     random_problem,
     random_raw_problem,
+    wide_families,
 )
+from qodesign import _fastpath
 
 
 def oracle_series(d1, d2):
@@ -169,27 +174,70 @@ def test_series_empty_interface():
 
 
 def test_parallel_matches_oracle(rng):
-    for name, mk in quantale_families().items():
+    # Factors of 2-3 objects give 16-81 output cells, both sides of the
+    # element-loop floor; 4 objects give 256.
+    for name, mk in wide_families().items():
         q = mk()
-        for _ in range(10):
-            a1, b1 = random_category(q, rng, 2, 3), random_category(q, rng, 2, 3)
-            a2, b2 = random_category(q, rng, 2, 3), random_category(q, rng, 2, 3)
-            d1 = random_problem(a1, b1, rng)
-            d2 = random_problem(a2, b2, rng)
-            got = parallel(d1, d2)
-            assert got.source.objects == tensor(a1, a2, validate=False).objects
-            for i1, r1 in enumerate(a1.objects):
-                for i2, r2 in enumerate(a2.objects):
-                    for j1, f1 in enumerate(b1.objects):
-                        for j2, f2 in enumerate(b2.objects):
-                            want = q.mult(d1.values[i1][j1], d2.values[i2][j2])
-                            assert q.equal(
-                                got.value_payload(
-                                    pair_name(r1, r2), pair_name(f1, f2)
-                                ),
-                                want,
-                            ), name
-            assert check_bimodule(got) is None
+        for lo, hi, reps in ((2, 3, 10), (4, 4, 1)):
+            for _ in range(reps):
+                a1, b1 = random_category(q, rng, lo, hi), random_category(q, rng, lo, hi)
+                a2, b2 = random_category(q, rng, lo, hi), random_category(q, rng, lo, hi)
+                d1 = random_problem(a1, b1, rng)
+                d2 = random_problem(a2, b2, rng)
+                got = parallel(d1, d2)
+                assert got.source.objects == tensor(a1, a2, validate=False).objects
+                for i1, r1 in enumerate(a1.objects):
+                    for i2, r2 in enumerate(a2.objects):
+                        for j1, f1 in enumerate(b1.objects):
+                            for j2, f2 in enumerate(b2.objects):
+                                want = q.mult(d1.values[i1][j1], d2.values[i2][j2])
+                                got_v = got.value_payload(pair_name(r1, r2), pair_name(f1, f2))
+                                assert got_v == want, name
+                assert check_bimodule(got) is None
+
+
+HUGE = 10**17  # float64 spacing here is 16
+
+
+def test_nat_kernel_bound():
+    q = nat_quantale()
+    assert _fastpath.mode_for(q, [[2**51 - 1, math.inf]]) == "minplus"
+    assert _fastpath.mode_for(q, [[0], [2**51]]) is None
+    assert _fastpath.mode_for(cost_quantale(), [[2.0**60]]) == "minplus"
+
+
+def test_series_of_huge_nats_is_exact():
+    q = nat_quantale()
+    one = discrete_category(q, ["x"])
+    d1 = build_problem(one, one, [[HUGE + 1]])
+    d2 = build_problem(one, one, [[1]])
+    assert series(d1, d2).values == ((HUGE + 2,),)
+
+
+def test_parallel_of_huge_nats_is_exact():
+    q = nat_quantale()
+    c1 = nat_grid_category([0, 1, HUGE + 1], q)
+    c2 = nat_grid_category([0, 1, 2], q)
+    d1, d2 = identity_problem(c1), identity_problem(c2)
+    got = parallel(d1, d2)  # 81 cells, above the element-loop floor
+    for i, row in enumerate(got.values):
+        for j, v in enumerate(row):
+            assert v == d1.values[i // 3][j // 3] + d2.values[i % 3][j % 3]
+    assert HUGE + 2 in {v for row in got.values for v in row}
+
+
+def test_bimodule_check_of_huge_nats_is_exact():
+    # Valid: hom(0, 1) + d(0) = 1 + (HUGE + 8) = d(1).  In float64 the
+    # left side is 1e17 and d(1) is 1e17 + 16, a false violation.
+    q = nat_quantale()
+    d = build_problem(
+        nat_grid_category([0, 1], q),
+        discrete_category(q, ["f"]),
+        [[HUGE + 8], [HUGE + 9]],
+    )
+    assert check_bimodule(d) is None
+    bad = DesignProblem(d.source, d.target, ((HUGE + 8,), (HUGE + 10,)))
+    assert check_bimodule(bad) == ("0", "1", "f", "f")
 
 
 def oracle_trace(d, loop):
