@@ -1,6 +1,7 @@
 """Vectorized kernels for matrix-shaped checks and compositions.
 
-Each supported carrier maps onto a scalar algebra numpy can drive:
+Each supported carrier maps onto a scalar algebra numpy can drive, its
+kernel mode:
 
 - minplus: cost and nat (order reversed, multiplication is addition)
 - godel:   fuzz with the minimum t-norm, and pace via ranks
@@ -9,20 +10,32 @@ Each supported carrier maps onto a scalar algebra numpy can drive:
 - bool:    boolean matrices
 - bits:    powersets up to 63 names, one bit per name
 
+encode and decode translate payload tables to and from the mode's
+arrays.  Everything else reads one row of _ALGEBRA per mode: the
+elementwise multiplication, the join as a ufunc whose reduce folds an
+axis, the bottom (the join of no values, so an empty interface needs
+no special case), the dtype, and the elementwise test "x is not below y
+within tol".  series, both checks and trace are the same few lines over
+that row.  The one exception is the bool matrix product: it is an
+integer matmul, in int64 so that witness counts cannot wrap, and not
+float64, which would load BLAS for no gain.
+
 mode_for returns None, and callers fall back to generic element loops,
 for other carriers and for nat tables holding a finite value of
 NAT_EXACT_BELOW or more.  The check kernels return the first violating
-output cell; callers reconstruct the full witness with exact carrier
-operations.  outer_product gives the values of a tensor category or a
-parallel composite; callers take it for outputs of OUTER_MIN_CELLS or
-more and decode it with decode_shared, one payload object per distinct
-value.  hom_array reads a hom through its category's memo of encoded
-arrays, which tensor fills with the array it computed.
+output cell in row-major order; callers resume their element loop there
+to name the witness with exact carrier operations.  outer_product gives
+the values of a tensor category or a parallel composite; callers take it
+for outputs of OUTER_MIN_CELLS or more and decode it with decode_shared,
+one payload object per distinct value.  hom_array reads a table through
+the per-mode memo of encoded arrays its category or problem keeps; the
+operators fill their output's memo with the array they decoded from.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +51,34 @@ OUTER_MIN_CELLS = 64
 # nat runs on float64, exact for integers below 2**53.  The bimodule check
 # adds three values, and 3 * 2**51 < 2**53.
 NAT_EXACT_BELOW = 2**51
+
+
+class _Algebra(NamedTuple):
+    mult: Callable  # elementwise multiplication
+    join: np.ufunc  # join.reduce joins along an axis
+    bottom: object  # the join of no values
+    dtype: type
+    above: Callable  # above(x, y, tol): elementwise, x not below y
+
+
+def _luk(x, y):
+    return np.maximum(x + y - 1.0, 0.0)
+
+
+def _exceeds(x, y, tol):
+    return x > y + tol
+
+
+_ALGEBRA = {
+    "minplus": _Algebra(np.add, np.minimum, np.inf, float, lambda x, y, tol: x < y - tol),
+    "godel": _Algebra(np.minimum, np.maximum, 0.0, float, _exceeds),
+    "goguen": _Algebra(np.multiply, np.maximum, 0.0, float, _exceeds),
+    "luk": _Algebra(_luk, np.maximum, 0.0, float, _exceeds),
+    "bool": _Algebra(np.logical_and, np.logical_or, False, bool, lambda x, y, tol: x & ~y),
+    "bits": _Algebra(
+        np.bitwise_and, np.bitwise_or, 0, np.uint64, lambda x, y, tol: (x & ~y) != 0
+    ),
+}
 
 
 def mode_for(q, *tables):
@@ -114,7 +155,8 @@ def decode_shared(q, mode, arr):
 
 def hom_array(q, mode, hom, arrays=None):
     """encode(q, mode, hom), read from and kept in arrays, the per-mode memo
-    of the category hom belongs to (QCategory._arrays)."""
+    of the category or problem hom belongs to (QCategory._arrays,
+    DesignProblem._arrays)."""
     if arrays is None:
         return encode(q, mode, hom)
     if mode not in arrays:
@@ -124,102 +166,20 @@ def hom_array(q, mode, hom, arrays=None):
 
 def outer_product(mode, a, b):
     """out[(i,k),(j,l)] = a[i,j] * b[k,l]: rows (i,k), columns (j,l)."""
-    x, y = a[:, None, :, None], b[None, :, None, :]
-    if mode == "minplus":
-        out = x + y
-    elif mode == "godel":
-        out = np.minimum(x, y)
-    elif mode == "goguen":
-        out = x * y
-    elif mode == "luk":
-        out = np.maximum(x + y - 1.0, 0.0)
-    else:  # bool, bits
-        out = x & y
+    out = _ALGEBRA[mode].mult(a[:, None, :, None], b[None, :, None, :])
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-# -- scalar-algebra matrix products ----------------------------------------
-# product(A, B)[i, j] = join over k of A[i, k] * B[k, j]
-
-
-def _product_minplus(a, b):
-    n, k = a.shape
-    m = b.shape[1]
-    if k == 0:
-        return np.full((n, m), np.inf)
-    out = np.empty((n, m))
-    for i in range(n):
-        out[i] = np.min(a[i][:, None] + b, axis=0)
-    return out
-
-
-def _product_godel(a, b):
-    n, k = a.shape
-    m = b.shape[1]
-    if k == 0:
-        return np.zeros((n, m))
-    out = np.empty((n, m))
-    for i in range(n):
-        out[i] = np.max(np.minimum(a[i][:, None], b), axis=0)
-    return out
-
-
-def _product_goguen(a, b):
-    n, k = a.shape
-    m = b.shape[1]
-    if k == 0:
-        return np.zeros((n, m))
-    out = np.empty((n, m))
-    for i in range(n):
-        out[i] = np.max(a[i][:, None] * b, axis=0)
-    return out
-
-
-def _product_plus_raw(a, b):
-    # Raw max-plus; the Lukasiewicz clamp happens once per chain in callers.
-    n, k = a.shape
-    m = b.shape[1]
-    if k == 0:
-        return np.full((n, m), -np.inf)
-    out = np.empty((n, m))
-    for i in range(n):
-        out[i] = np.max(a[i][:, None] + b, axis=0)
-    return out
-
-
-def _product_bool(a, b):
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=bool)
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
-
-
-def _product_bits(a, b):
-    n, k = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m), dtype=np.uint64)
-    if k == 0:
-        return out
-    for i in range(n):
-        out[i] = np.bitwise_or.reduce(a[i][:, None] & b, axis=0)
-    return out
-
-
-def series_product(mode, a, b):
-    """values of the composite: join over mid of a[r, m] * b[m, f]."""
-    if mode == "minplus":
-        return _product_minplus(a, b)
-    if mode == "godel":
-        return _product_godel(a, b)
-    if mode == "goguen":
-        return _product_goguen(a, b)
-    if mode == "luk":
-        raw = _product_plus_raw(a, b) - 1.0
-        return np.maximum(raw, 0.0)
+def _product(mode, a, b):
+    """join over k of a[i, k] * b[k, j]."""
     if mode == "bool":
-        return _product_bool(a, b)
-    if mode == "bits":
-        return _product_bits(a, b)
-    raise ValueError(f"unsupported mode {mode}")
+        # witness counts in int64 cannot wrap; integer matmul needs no BLAS
+        return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+    alg = _ALGEBRA[mode]
+    out = np.empty((a.shape[0], b.shape[1]), dtype=alg.dtype)
+    for i, row in enumerate(a):
+        out[i] = alg.join.reduce(alg.mult(row[:, None], b), axis=0, initial=alg.bottom)
+    return out
 
 
 def _first_true(mask):
@@ -229,26 +189,14 @@ def _first_true(mask):
     return tuple(int(v) for v in idx[0])
 
 
+def series_product(mode, a, b):
+    """values of the composite: join over mid of a[r, m] * b[m, f]."""
+    return _product(mode, a, b)
+
+
 def category_violation(mode, h, tol):
     """First (x, z) where some y breaks hom[x,y] * hom[y,z] <= hom[x,z]."""
-    if h.shape[0] == 0:
-        return None
-    if mode == "minplus":
-        best = _product_minplus(h, h)
-        return _first_true(best < h - tol)
-    if mode == "bool":
-        reach = _product_bool(h, h)
-        return _first_true(reach & ~h)
-    if mode == "bits":
-        reach = _product_bits(h, h)
-        return _first_true((reach & ~h) != 0)
-    if mode == "godel":
-        best = _product_godel(h, h)
-    elif mode == "goguen":
-        best = _product_goguen(h, h)
-    else:
-        best = np.maximum(_product_plus_raw(h, h) - 1.0, 0.0)
-    return _first_true(best > h + tol)
+    return _first_true(_ALGEBRA[mode].above(_product(mode, h, h), h, tol))
 
 
 def bimodule_violation(mode, r, f, d, tol):
@@ -258,55 +206,15 @@ def bimodule_violation(mode, r, f, d, tol):
     t[r, f*] = join_f d[r, f] * F[f*, f], then l[r*, f*] = join_r
     R[r, r*] * t[r, f*].
     """
-    if d.shape[0] == 0 or d.shape[1] == 0:
-        return None
-    if mode == "minplus":
-        t = _product_minplus(d, f.T)
-        l = _product_minplus(r.T, t)
-        return _first_true(l < d - tol)
-    if mode == "bool":
-        t = _product_bool(d, f.T)
-        l = _product_bool(r.T, t)
-        return _first_true(l & ~d)
-    if mode == "bits":
-        t = _product_bits(d, f.T)
-        l = _product_bits(r.T, t)
-        return _first_true((l & ~d) != 0)
-    if mode == "godel":
-        l = _product_godel(r.T, _product_godel(d, f.T))
-    elif mode == "goguen":
-        l = _product_goguen(r.T, _product_goguen(d, f.T))
-    else:
-        raw = _product_plus_raw(r.T, _product_plus_raw(d, f.T))
-        l = np.maximum(raw - 2.0, 0.0)
-    return _first_true(l > d + tol)
+    l = _product(mode, r.T, _product(mode, d, f.T))
+    return _first_true(_ALGEBRA[mode].above(l, d, tol))
 
 
-def trace_values(mode, d4, m, tol_unused=None):
+def trace_values(mode, d4, m):
     """Feedback closure: join over (m, m') of d[(r,m),(f,m')] * M[m,m'].
 
     d4 has axes (r, m, f, m'); M has axes (m, m').
     """
-    if d4.shape[1] == 0:
-        nr, _, nf, _ = d4.shape
-        if mode == "minplus":
-            return np.full((nr, nf), np.inf)
-        if mode == "bool":
-            return np.zeros((nr, nf), dtype=bool)
-        if mode == "bits":
-            return np.zeros((nr, nf), dtype=np.uint64)
-        return np.zeros((nr, nf))
-    mm = m[None, :, None, :]
-    if mode == "minplus":
-        return np.min(d4 + mm, axis=(1, 3))
-    if mode == "bool":
-        return np.any(d4 & mm, axis=(1, 3))
-    if mode == "bits":
-        return np.bitwise_or.reduce(
-            np.bitwise_or.reduce(d4 & mm, axis=3), axis=1
-        )
-    if mode == "godel":
-        return np.max(np.minimum(d4, mm), axis=(1, 3))
-    if mode == "goguen":
-        return np.max(d4 * mm, axis=(1, 3))
-    return np.max(np.maximum(d4 + mm - 1.0, 0.0), axis=(1, 3))
+    alg = _ALGEBRA[mode]
+    terms = alg.mult(d4, m[None, :, None, :])
+    return alg.join.reduce(terms, axis=(1, 3), initial=alg.bottom)

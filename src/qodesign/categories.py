@@ -118,14 +118,17 @@ def check_category_axioms(
     """Return None when both axioms hold, else a witness description.
 
     The witness is ("identity", x) or ("composition", x, y, z) with object
-    names.  method "generic" forces the element-wise triple loop; "auto"
-    uses the vectorized kernel when the carrier supports one.  arrays is
+    names, the first in (x, z, y) order.  method "loop" forces the
+    element-wise triple loop; "auto" first runs the vectorized kernel when
+    the carrier supports one, and the loop then starts at the kernel's
+    violating (x, z), so both methods name the same witness.  arrays is
     the per-mode memo of encoded homs of the category hom belongs to.
     """
     n = len(objects)
     for i in range(n):
         if not q.leq(q.unit, hom[i][i]):
             return ("identity", objects[i])
+    x0 = z0 = 0
     mode = _fastpath.mode_for(q, hom) if method == "auto" else None
     if mode is not None and n >= 2:
         from .values import float_tol
@@ -134,16 +137,15 @@ def check_category_axioms(
         cell = _fastpath.category_violation(mode, h, float_tol())
         if cell is None:
             return None
-        x, z = cell
-        for y in range(n):
-            if not q.leq(q.mult(hom[x][y], hom[y][z]), hom[x][z]):
-                return ("composition", objects[x], objects[y], objects[z])
-        return ("composition", objects[x], "?", objects[z])
-    for x in range(n):
-        for y in range(n):
-            xy = hom[x][y]
-            for z in range(n):
-                if not q.leq(q.mult(xy, hom[y][z]), hom[x][z]):
+        x0, z0 = cell
+    mult, leq = q.mult, q.leq
+    cols = tuple(zip(*hom))
+    for x in range(x0, n):
+        row = hom[x]
+        for z in range(z0 if x == x0 else 0, n):
+            bound, col = row[z], cols[z]
+            for y in range(n):
+                if not leq(mult(row[y], col[y]), bound):
                     return ("composition", objects[x], objects[y], objects[z])
     return None
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .categories import QCategory, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
-from .problems import DesignProblem, _normalize_values, _series_values, check_bimodule
+from .problems import DesignProblem, _make_problem, _series_values
 from .quantales import Quantale, compatible, make_powerset
 from .values import float_tol
 
@@ -580,15 +580,9 @@ def pushforward_problem(
     src = pushforward(d.source, phi, force=force, validate=validate)
     tgt = pushforward(d.target, phi, force=force, validate=validate)
     vals = [[phi(v) for v in row] for row in d.values]
-    out = DesignProblem(src, tgt, _normalize_values(phi.target, src, tgt, vals))
-    if validate:
-        witness = check_bimodule(out)
-        if witness is not None:
-            raise ProblemError(
-                f"pushforward through {'forced unverified ' if force else ''}"
-                f"map {phi.name} fails the bimodule check at {witness}"
-            )
-    return out
+    forced = "forced unverified " if force else ""
+    what = f"pushforward through {forced}map {phi.name}"
+    return _make_problem(phi.target, src, tgt, vals, what, validate)
 
 
 def _hetero_gates(d1, d2, phi1, phi2, force):
@@ -638,15 +632,8 @@ def hetero_series(
     tgt = pushforward(d2.target, phi2, force=force, validate=validate)
     a = [[phi1(v) for v in row] for row in d1.values]
     b = [[phi2(v) for v in row] for row in d2.values]
-    vals = _series_values(q, a, b, len(d1.target.objects), len(d2.target.objects))
-    out = DesignProblem(src, tgt, _normalize_values(q, src, tgt, vals))
-    if validate:
-        witness = check_bimodule(out)
-        if witness is not None:
-            raise ProblemError(
-                f"heterogeneous series output fails the bimodule check at {witness}"
-            )
-    return out
+    vals, arrays = _series_values(q, a, b, len(d2.target.objects))
+    return _make_problem(q, src, tgt, vals, "heterogeneous series output", validate, arrays)
 
 
 def hetero_parallel(
@@ -764,11 +751,7 @@ def catalog_problem(
                 )
             )
         vals.append(row)
-    out = DesignProblem(src, tgt, _normalize_values(pq, src, tgt, vals))
-    witness = check_bimodule(out)
-    if witness is not None:
-        raise ProblemError(f"catalog problem fails the bimodule check at {witness}")
-    return out
+    return _make_problem(pq, src, tgt, vals, "catalog problem")
 
 
 def implementation_series_problems(

@@ -509,7 +509,7 @@ class ModelDocument:
         if name in self.problems and name not in self.diagrams:
             return self.problems[name]
         expr = self._get("diagram", name)
-        return self._eval(expr, None)
+        return self._eval(expr)
 
     def diagram_stats(self, name: str):
         """Composition-node statistics: (stats, composed problem).
@@ -517,65 +517,81 @@ class ModelDocument:
         The cut of a node is the cardinality it joins or loops over:
         interface objects for series, looped source objects for trace,
         interface objects for implementation_series, 1 for parallel.
+        Nodes are listed in post-order, operands first.
         """
-        stats = []
         if name in self.problems and name not in self.diagrams:
             return (), self.problems[name]
         expr = self._get("diagram", name)
-        out = self._eval(expr, stats)
+        out = self._eval(expr)
+        stats = []
+        self._node_stats(expr, stats)
         return tuple(stats), out
 
-    def _eval(self, expr, stats) -> DesignProblem:
+    def _node_stats(self, expr, stats):
+        """Append the NodeStat of each composition node under expr, reading
+        operands from the cache that composing expr filled."""
+        op = expr[0]
+        if op == "ref":
+            if expr[1] in self.diagrams:
+                self._node_stats(self.diagrams[expr[1]], stats)
+            return
+        for slot, arg in zip(DIAGRAM_OPS[op], expr[1:]):
+            if slot == "expr":
+                self._node_stats(arg, stats)
+        if op in ("series", "hetero_series"):
+            cut = len(self._eval(expr[1]).target.objects)
+            stats.append(NodeStat(op, cut, "interface objects"))
+        elif op in ("parallel", "hetero_parallel"):
+            stats.append(NodeStat(op, 1, "independent sides"))
+        elif op in ("trace", "hetero_trace"):
+            cut = len(self._eval(expr[1]).source.objects)
+            stats.append(NodeStat(op, cut, "looped source objects"))
+        elif op == "implementation_series":
+            cut = len(self._get("category", expr[4]).objects)
+            stats.append(NodeStat(op, cut, "interface objects"))
+
+    def _eval(self, expr) -> DesignProblem:
         key = ("expr", expr)
-        if stats is None and key in self._cache:
+        if key in self._cache:
             return self._cache[key]
         op = expr[0]
         if op == "ref":
             name = expr[1]
             if name in self.diagrams:
                 sub = self.diagrams[name]
-                out = self._eval(sub, stats)
+                out = self._eval(sub)
             else:
                 out = self.problems[name]
         elif op == "series":
-            d1 = self._eval(expr[1], stats)
-            d2 = self._eval(expr[2], stats)
+            d1 = self._eval(expr[1])
+            d2 = self._eval(expr[2])
             out = series(d1, d2)
-            _note(stats, "series", len(d1.target.objects), "interface objects")
         elif op == "parallel":
-            d1 = self._eval(expr[1], stats)
-            d2 = self._eval(expr[2], stats)
+            d1 = self._eval(expr[1])
+            d2 = self._eval(expr[2])
             out = parallel(d1, d2)
-            _note(stats, "parallel", 1, "independent sides")
         elif op == "trace":
-            d = self._eval(expr[1], stats)
-            loop = self._get("category", expr[2])
-            sources = len(d.source.objects)
-            out = trace(d, loop)
-            _note(stats, "trace", sources, "looped source objects")
+            d = self._eval(expr[1])
+            out = trace(d, self._get("category", expr[2]))
         elif op == "hetero_series":
-            d1 = self._eval(expr[1], stats)
-            d2 = self._eval(expr[2], stats)
+            d1 = self._eval(expr[1])
+            d2 = self._eval(expr[2])
             out = hetero_series(
                 d1, d2, self._get("map", expr[3]), self._get("map", expr[4])
             )
-            _note(stats, "hetero_series", len(d1.target.objects), "interface objects")
         elif op == "hetero_parallel":
-            d1 = self._eval(expr[1], stats)
-            d2 = self._eval(expr[2], stats)
+            d1 = self._eval(expr[1])
+            d2 = self._eval(expr[2])
             out = hetero_parallel(
                 d1, d2, self._get("map", expr[3]), self._get("map", expr[4])
             )
-            _note(stats, "hetero_parallel", 1, "independent sides")
         elif op == "hetero_trace":
-            d = self._eval(expr[1], stats)
-            sources = len(d.source.objects)
+            d = self._eval(expr[1])
             out = hetero_trace(
                 d, self._get("category", expr[2]), self._get("map", expr[3])
             )
-            _note(stats, "hetero_trace", sources, "looped source objects")
         elif op == "pushforward":
-            d = self._eval(expr[1], stats)
+            d = self._eval(expr[1])
             out = pushforward_problem(d, self._get("map", expr[2]))
         elif op == "identity":
             out = identity_problem(self._get("category", expr[1]))
@@ -586,19 +602,16 @@ class ModelDocument:
                 self._get("category", expr[3]),
             )
         elif op == "implementation_series":
-            mid = self._get("category", expr[4])
             out = implementation_series(
                 self._get("catalog", expr[1]),
                 self._get("catalog", expr[2]),
                 self._get("category", expr[3]),
-                mid,
+                self._get("category", expr[4]),
                 self._get("category", expr[5]),
             )
-            _note(stats, "implementation_series", len(mid.objects), "interface objects")
         else:
             raise ModelError(f"unknown diagram operator {op!r}")
-        if stats is None:
-            self._cache[key] = out
+        self._cache[key] = out
         return out
 
     # -- queries and sweeps ------------------------------------------------------
@@ -651,13 +664,13 @@ class ModelDocument:
             expr = self.diagrams[expr[1]]
         op = expr[0]
         if op == "series":
-            d1 = self._eval(expr[1], None)
-            d2 = self._eval(expr[2], None)
+            d1 = self._eval(expr[1])
+            d2 = self._eval(expr[2])
             terms, _ = series_breakdown(d1, d2, resource, functionality)
             q = d1.quantale
         elif op == "hetero_series":
-            d1 = self._eval(expr[1], None)
-            d2 = self._eval(expr[2], None)
+            d1 = self._eval(expr[1])
+            d2 = self._eval(expr[2])
             phi1 = self._get("map", expr[3])
             phi2 = self._get("map", expr[4])
             q = phi1.target
@@ -693,11 +706,6 @@ class ModelDocument:
         for section, name in self._order:
             out.append(_RENDERERS[section](self, name))
         return "\n".join(out) + "\n"
-
-
-def _note(stats, op, cut, detail):
-    if stats is not None:
-        stats.append(NodeStat(op, cut, detail))
 
 
 def _check_member(cat: QCategory, obj: str, what: str):

@@ -38,6 +38,10 @@ class DesignProblem:
     target: QCategory
     values: tuple
 
+    def __post_init__(self):
+        # kernel mode -> values as an array, read through _fastpath.hom_array
+        object.__setattr__(self, "_arrays", {})
+
     @property
     def quantale(self) -> Quantale:
         return self.source.quantale
@@ -52,50 +56,40 @@ class DesignProblem:
         return self.values[self.source.index(r)][self.target.index(f)]
 
 
-def _normalize_values(q: Quantale, source, target, rows):
-    return _normalize_table(
-        q, source.objects, target.objects, rows, ProblemError, noun="value row"
-    )
-
-
 def check_bimodule(d: DesignProblem, method: str = "auto"):
-    """First witness (r, r*, f, f*) violating the direct condition, or None."""
+    """First witness (r, r*, f, f*) violating the direct condition, or None.
+
+    Witnesses are searched in (r*, f*, r, f) order.  method "loop" forces
+    the element-wise loop; "auto" first runs the vectorized kernel when
+    the carrier supports one, and the loop then starts at the kernel's
+    violating (r*, f*), so both methods name the same witness.
+    """
     q = d.quantale
     R, F, V = d.source.hom, d.target.hom, d.values
     nr, nf = len(d.source.objects), len(d.target.objects)
     if nr == 0 or nf == 0:
         return None
+    rs0 = fs0 = 0
     mode = _fastpath.mode_for(q, R, F, V) if method == "auto" else None
     if mode is not None:
         cell = _fastpath.bimodule_violation(
             mode,
             _fastpath.hom_array(q, mode, R, d.source._arrays),
             _fastpath.hom_array(q, mode, F, d.target._arrays),
-            _fastpath.encode(q, mode, V),
+            _fastpath.hom_array(q, mode, V, d._arrays),
             float_tol(),
         )
         if cell is None:
             return None
-        rs, fs = cell
-        for r in range(nr):
-            for f in range(nf):
-                lhs = q.mult(q.mult(F[fs][f], V[r][f]), R[r][rs])
-                if not q.leq(lhs, V[rs][fs]):
-                    return (
-                        d.source.objects[r],
-                        d.source.objects[rs],
-                        d.target.objects[f],
-                        d.target.objects[fs],
-                    )
-        return (None, d.source.objects[rs], None, d.target.objects[fs])
-    for rs in range(nr):
-        for fs in range(nf):
-            bound = V[rs][fs]
+        rs0, fs0 = cell
+    mult, leq = q.mult, q.leq
+    for rs in range(rs0, nr):
+        for fs in range(fs0 if rs == rs0 else 0, nf):
+            bound, f_row = V[rs][fs], F[fs]
             for r in range(nr):
-                rr = R[r][rs]
+                rr, v_row = R[r][rs], V[r]
                 for f in range(nf):
-                    lhs = q.mult(q.mult(F[fs][f], V[r][f]), rr)
-                    if not q.leq(lhs, bound):
+                    if not leq(mult(mult(f_row[f], v_row[f]), rr), bound):
                         return (
                             d.source.objects[r],
                             d.source.objects[rs],
@@ -103,6 +97,31 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
                             d.target.objects[fs],
                         )
     return None
+
+
+def _require_bimodule(d: DesignProblem, what: str):
+    """Raise ProblemError naming what and the witness if d is no bimodule."""
+    witness = check_bimodule(d)
+    if witness is not None:
+        r, rs, f, fs = witness
+        raise ProblemError(
+            f"{what} fails the bimodule condition: moving ({r!r}, {f!r}) "
+            f"to ({rs!r}, {fs!r}) is not monotone"
+        )
+
+
+def _make_problem(q, source, target, rows, what, validate=True, arrays=None):
+    """A problem over source and target with rows, normalized, as values,
+    checked when validate is set.  arrays, the arrays rows were decoded
+    from, seed its memo."""
+    values = _normalize_table(
+        q, source.objects, target.objects, rows, ProblemError, noun="value row"
+    )
+    d = DesignProblem(source, target, values)
+    d._arrays.update(arrays or {})
+    if validate:
+        _require_bimodule(d, what)
+    return d
 
 
 def check_bimodule_via_hom(d: DesignProblem):
@@ -149,16 +168,7 @@ def build_problem(
             f"source over {source.quantale.name} but target over "
             f"{target.quantale.name}"
         )
-    d = DesignProblem(source, target, _normalize_values(source.quantale, source, target, values))
-    if validate:
-        witness = check_bimodule(d)
-        if witness is not None:
-            r, rs, f, fs = witness
-            raise ProblemError(
-                "bimodule condition fails: moving "
-                f"({r!r}, {f!r}) to ({rs!r}, {fs!r}) is not monotone"
-            )
-    return d
+    return _make_problem(source.quantale, source, target, values, "problem", validate)
 
 
 def evaluate(d: DesignProblem, r: str, f: str) -> QValue:
@@ -182,9 +192,7 @@ def identity_problem(c: QCategory, validate: bool = True) -> DesignProblem:
     )
     d = DesignProblem(c, c, values)
     if validate:
-        witness = check_bimodule(d)
-        if witness is not None:
-            raise ProblemError(f"category hom is not a bimodule at {witness}")
+        _require_bimodule(d, "identity problem")
     return d
 
 
@@ -220,22 +228,26 @@ def _first_diff(xs, ys):
     return xs[len(ys):][:1] or ys[len(xs):][:1]
 
 
-def _series_values(q: Quantale, a_rows, b_rows, n_mid: int, n_out: int):
+def _series_values(q: Quantale, a_rows, b_rows, n_out: int, a_arrays=None, b_arrays=None):
+    """(rows, arrays): rows of join over mid of a[r][m] * b[m][f], and
+    {mode: the array they were decoded from}, empty after the element loop.
+    a_arrays and b_arrays are the operands' memos when they are problems."""
+    n_mid = len(b_rows)
     mode = _fastpath.mode_for(q, a_rows, b_rows)
     if mode is not None and len(a_rows) and n_out and n_mid:
         arr = _fastpath.series_product(
             mode,
-            _fastpath.encode(q, mode, a_rows),
-            _fastpath.encode(q, mode, b_rows),
+            _fastpath.hom_array(q, mode, a_rows, a_arrays),
+            _fastpath.hom_array(q, mode, b_rows, b_arrays),
         )
-        return _fastpath.decode(q, mode, arr)
+        return _fastpath.decode(q, mode, arr), {mode: arr}
     out = []
     for row in a_rows:
         out_row = []
         for j in range(n_out):
             out_row.append(q.join(q.mult(row[m], b_rows[m][j]) for m in range(n_mid)))
         out.append(out_row)
-    return out
+    return out, {}
 
 
 def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> DesignProblem:
@@ -248,17 +260,10 @@ def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Desig
     q = d1.quantale
     if not compatible(q, d2.quantale):
         raise CompositionError("series: problems over different quantales")
-    vals = _series_values(
-        q, d1.values, d2.values, len(d1.target.objects), len(d2.target.objects)
+    vals, arrays = _series_values(
+        q, d1.values, d2.values, len(d2.target.objects), d1._arrays, d2._arrays
     )
-    out = DesignProblem(
-        d1.source, d2.target, _normalize_values(q, d1.source, d2.target, vals)
-    )
-    if validate:
-        witness = check_bimodule(out)
-        if witness is not None:
-            raise ProblemError(f"series output fails bimodule check at {witness}")
-    return out
+    return _make_problem(q, d1.source, d2.target, vals, "series output", validate, arrays)
 
 
 def series_breakdown(d1: DesignProblem, d2: DesignProblem, r: str, f: str):
@@ -285,13 +290,8 @@ def parallel(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Des
         raise CompositionError("parallel: problems over different quantales")
     src = tensor(d1.source, d2.source, validate=False)
     tgt = tensor(d1.target, d2.target, validate=False)
-    vals, _ = _outer_values(q, d1.values, d2.values)
-    out = DesignProblem(src, tgt, _normalize_values(q, src, tgt, vals))
-    if validate:
-        witness = check_bimodule(out)
-        if witness is not None:
-            raise ProblemError(f"parallel output fails bimodule check at {witness}")
-    return out
+    vals, arrays = _outer_values(q, d1.values, d2.values, d1._arrays, d2._arrays)
+    return _make_problem(q, src, tgt, vals, "parallel output", validate, arrays)
 
 
 def _trace_factors(d: DesignProblem, loop: QCategory):
@@ -317,10 +317,12 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
     q = d.quantale
     nr, nm, nf = len(r_cat.objects), len(loop.objects), len(f_cat.objects)
     mode = _fastpath.mode_for(q, d.values, loop.hom)
+    arrays = {}
     if mode is not None and nr and nf:
-        d4 = _fastpath.encode(q, mode, d.values).reshape(nr, nm, nf, nm)
+        d4 = _fastpath.hom_array(q, mode, d.values, d._arrays).reshape(nr, nm, nf, nm)
         m_arr = _fastpath.hom_array(q, mode, loop.hom, loop._arrays)
-        vals = _fastpath.decode(q, mode, _fastpath.trace_values(mode, d4, m_arr))
+        arr = arrays[mode] = _fastpath.trace_values(mode, d4, m_arr)
+        vals = _fastpath.decode(q, mode, arr)
     else:
         vals = []
         for r in range(nr):
@@ -334,12 +336,7 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
                     )
                 )
             vals.append(row)
-    out = DesignProblem(r_cat, f_cat, _normalize_values(q, r_cat, f_cat, vals))
-    if validate:
-        witness = check_bimodule(out)
-        if witness is not None:
-            raise ProblemError(f"trace output fails bimodule check at {witness}")
-    return out
+    return _make_problem(q, r_cat, f_cat, vals, "trace output", validate, arrays)
 
 
 def pareto_front(d: DesignProblem, f: str):

@@ -54,12 +54,27 @@ def test_axiom_checker_matches_oracle(rng):
             objs = [f"x{i}" for i in range(n)]
             got = check_category_axioms(q, objs, hom)
             want = oracle_axioms(q, hom)
+            assert check_category_axioms(q, objs, hom, method="loop") == got, name
             assert (got is None) == (want is None), (name, got, want)
             if q.kind == "powerset":  # unhashable set payloads, as given by callers
                 raw = [[set(v) for v in row] for row in hom]
                 assert check_category_axioms(q, objs, raw) == got, name
             agree += 1
         assert agree == 30
+
+
+def test_bool_axiom_check_counts_past_a_byte():
+    # 256 paths o0 -> oy -> o1 (y >= 2) while hom(o0, o1) is false; a
+    # uint8 count of them wraps to 0
+    q = bool_quantale()
+    n = 258
+    hom = [[x == y for y in range(n)] for x in range(n)]
+    for y in range(2, n):
+        hom[0][y] = hom[y][1] = True
+    objs = [f"o{i}" for i in range(n)]
+    want = ("composition", "o0", "o2", "o1")
+    assert check_category_axioms(q, objs, hom, method="loop") == want
+    assert check_category_axioms(q, objs, hom) == want
 
 
 def test_random_closed_categories_pass(rng):

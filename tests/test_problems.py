@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qodesign import (
@@ -67,6 +68,7 @@ def test_direct_and_hom_form_agree(rng):
             cf = random_category(q, rng)
             d = random_raw_problem(cr, cf, rng)
             direct = check_bimodule(d) is None
+            assert check_bimodule(d) == check_bimodule(d, method="loop"), name
             via_hom = validate_via_hom(d)
             assert direct == via_hom, name
             hom_witness = check_bimodule_via_hom(d)
@@ -238,6 +240,69 @@ def test_bimodule_check_of_huge_nats_is_exact():
     assert check_bimodule(d) is None
     bad = DesignProblem(d.source, d.target, ((HUGE + 8,), (HUGE + 10,)))
     assert check_bimodule(bad) == ("0", "1", "f", "f")
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_bool_series_counts_past_a_byte(n):
+    # n witnesses for the one output cell; a uint8 count wraps to 0
+    q = bool_quantale()
+    one = discrete_category(q, ["r"])
+    names = [f"m{i}" for i in range(n)]
+    # discrete, so valid; checking its axioms would cost an n**3 product
+    mid = build_category(q, names, [[i == j for j in range(n)] for i in range(n)], validate=False)
+    d1 = build_problem(one, mid, [[True] * n])
+    d2 = build_problem(mid, one, [[True]] * n)
+    assert series(d1, d2).values == ((True,),)
+
+
+def test_bool_bimodule_check_counts_past_a_byte():
+    # f0 lies below f1..f256, which r reaches and f0 does not: the cell
+    # (r, f0) has 256 violating pairs (r, fi)
+    q = bool_quantale()
+    n = 257
+    names = [f"f{i}" for i in range(n)]
+    cf = build_category(q, names, [[i == j or i == 0 for j in range(n)] for i in range(n)])
+    cr = discrete_category(q, ["r"])
+    d = DesignProblem(cr, cf, ((False,) + (True,) * (n - 1),))
+    assert check_bimodule(d, method="loop") == ("r", "r", "f1", "f0")
+    assert check_bimodule(d) == ("r", "r", "f1", "f0")
+    with pytest.raises(ProblemError):
+        build_problem(cr, cf, d.values)
+
+
+def _traceable(q, rng):
+    loop = random_category(q, rng, 2, 3)
+    src = tensor(random_category(q, rng, 2, 3), loop)
+    tgt = tensor(random_category(q, rng, 2, 3), loop)
+    return random_problem(src, tgt, rng), loop
+
+
+def test_problem_values_are_encoded_once(rng, monkeypatch):
+    encode = _fastpath.encode
+    calls = []
+
+    def counting_encode(q, mode, rows):
+        calls.append(rows)
+        return encode(q, mode, rows)
+
+    monkeypatch.setattr(_fastpath, "encode", counting_encode)
+    d, loop = _traceable(cost_quantale(), rng)  # build_problem checks d once
+    for _ in range(2):
+        assert check_bimodule(d) is None
+        trace(d, loop)
+    assert sum(rows is d.values for rows in calls) == 1
+
+
+def test_outputs_keep_the_arrays_they_decoded(rng):
+    for name, mk in quantale_families().items():
+        q = mk()
+        d, loop = _traceable(q, rng)
+        e = random_problem(random_category(q, rng, 2, 2), random_category(q, rng, 2, 2), rng)
+        for out in (trace(d, loop), series(d, identity_problem(d.target)), parallel(d, e)):
+            assert out._arrays or _fastpath.mode_for(q, out.values) is None, name
+            for mode, arr in out._arrays.items():
+                fresh = _fastpath.encode(q, mode, out.values)
+                assert arr.dtype == fresh.dtype and np.array_equal(arr, fresh), name
 
 
 def oracle_trace(d, loop):
