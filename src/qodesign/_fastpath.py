@@ -30,6 +30,8 @@ for outputs of OUTER_MIN_CELLS or more and decode it with decode_shared,
 one payload object per distinct value.  hom_array reads a table through
 the per-mode memo of encoded arrays its category or problem keeps; the
 operators fill their output's memo with the array they decoded from.
+_leaf_moves_hold is the bimodule check of a table between tensors, one
+leaf category at a time: (sum of leaf sizes) * cells, not (nr + nf) * cells.
 """
 
 from __future__ import annotations
@@ -208,6 +210,18 @@ def bimodule_violation(mode, r, f, d, tol):
     """
     l = _product(mode, r.T, _product(mode, d, f.T))
     return _first_true(_ALGEBRA[mode].above(l, d, tol))
+
+
+def _leaf_moves_hold(mode, v, steps, tol):
+    """True when no single-axis move of v breaks monotonicity within tol:
+    for every axis k, join over a of steps[k][a*, a] * v[.., a, ..] is
+    below v[.., a*, ..], where v has one axis per step matrix."""
+    above = _ALGEBRA[mode].above
+    for axis, step in enumerate(steps):
+        vk = np.moveaxis(v, axis, 0).reshape(v.shape[axis], -1)
+        if above(series_product(mode, step, vk), vk, tol).any():
+            return False
+    return True
 
 
 def trace_values(mode, d4, m):

@@ -9,18 +9,20 @@ quantale, satisfying
 Rows index the first argument.  Bool-enriched categories are preorders;
 cost-enriched ones are generalized metric spaces.  Instances are immutable
 and validated at construction, so they are safe for shared reads; their
-memo of encoded homs is filled on first read, from the immutable hom.
+memo of encoded homs is filled on first read, from the immutable hom.  A
+tensor keeps its factors and builds its hom and arrays on first read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _fastpath
 from .errors import CategoryError, CompositionError, LaxityError, QuantaleError
 from .quantales import Quantale, compatible
-from .values import QValue
+from .values import QValue, float_tol
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,26 @@ class QCategory:
     objects: tuple
     hom: tuple
     factors: Optional[tuple] = field(default=None, compare=False)
+    _tensor = False  # set by tensor() alone: hom is the factors' homs multiplied
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {name: i for i, name in enumerate(self.objects)}
-        )
-        # kernel mode -> hom as an array, read through _fastpath.hom_array
+        index = {name: i for i, name in enumerate(self.objects)}
+        if len(index) != len(self.objects):
+            dup = next(o for i, o in enumerate(self.objects) if o in self.objects[:i])
+            raise CategoryError(f"duplicate object name {dup!r}")
+        object.__setattr__(self, "_index", index)
+        # kernel mode -> hom as an array, read through _hom_array
         object.__setattr__(self, "_arrays", {})
+
+    def __getattr__(self, name):
+        # only a tensor lacks its hom, until the first read builds it
+        if name != "hom" or not self._tensor:
+            raise AttributeError(name)
+        a, b = self.factors
+        rows, arrays = _outer_values(self.quantale, a.hom, b.hom, a._arrays, b._arrays)
+        object.__setattr__(self, "hom", tuple(map(tuple, rows)))
+        self._arrays.update(arrays)
+        return self.hom
 
     def __repr__(self):
         return (
@@ -131,8 +146,6 @@ def check_category_axioms(
     x0 = z0 = 0
     mode = _fastpath.mode_for(q, hom) if method == "auto" else None
     if mode is not None and n >= 2:
-        from .values import float_tol
-
         h = _fastpath.hom_array(q, mode, hom, arrays)
         cell = _fastpath.category_violation(mode, h, float_tol())
         if cell is None:
@@ -174,7 +187,6 @@ def build_category(
     objects: Sequence[str],
     hom: Sequence[Sequence],
     validate: bool = True,
-    factors=None,
 ) -> QCategory:
     """Construct and (by default) validate a Q-category.
 
@@ -182,11 +194,8 @@ def build_category(
     raises CategoryError naming a concrete witness.
     """
     objs = tuple(str(o) for o in objects)
-    if len(set(objs)) != len(objs):
-        dup = next(o for i, o in enumerate(objs) if o in objs[:i])
-        raise CategoryError(f"duplicate object name {dup!r}")
     rows = _normalize_table(quantale, objs, objs, hom, CategoryError, "hom matrix: ")
-    cat = QCategory(quantale, objs, rows, factors)
+    cat = QCategory(quantale, objs, rows)
     if validate:
         _validate(cat)
     return cat
@@ -305,20 +314,67 @@ def _outer_values(q: Quantale, a, b, a_arrays=None, b_arrays=None):
     return [[mult(x, y) for x in ra for y in rb] for ra in a for rb in b], {}
 
 
+def _leaves(cat: QCategory) -> tuple:
+    """A tensor's factors, nested tensors flattened, in object order."""
+    return sum(map(_leaves, cat.factors), ()) if cat._tensor else (cat,)
+
+
+def _hom_array(cat: QCategory, mode):
+    """cat.hom encoded for mode through cat's memo; a tensor's is the outer
+    product of its factors' arrays, so its payload hom is not built."""
+    if cat._tensor and mode not in cat._arrays:
+        a, b = cat.factors
+        cat._arrays[mode] = _fastpath.outer_product(mode, _hom_array(a, mode), _hom_array(b, mode))
+    return _fastpath.hom_array(cat.quantale, mode, cat.__dict__.get("hom"), cat._arrays)
+
+
+def _guard_rows(cat: QCategory):
+    """cat.hom as mode_for's nat range guard reads it, without building a
+    tensor's hom: one row with its largest finite value, the sum of its
+    leaves' (inf absorbs).  Other carriers do not read the rows."""
+    if not cat._tensor or cat.quantale.kind != "nat":
+        return () if cat._tensor else cat.hom
+    finite = ([v for row in c.hom for v in row if v != math.inf] for c in _leaves(cat))
+    return ((sum(max(vs, default=math.inf) for vs in finite),),)
+
+
+def _leaf_holds(c: QCategory, tol) -> bool:
+    """c has a unit diagonal and passes the composition kernel within tol."""
+    q, mode = c.quantale, _fastpath.mode_for(c.quantale, c.hom)
+    if mode is None or any(row[i] != q.unit for i, row in enumerate(c.hom)):
+        return False
+    return _fastpath.category_violation(mode, _hom_array(c, mode), tol) is None
+
+
 def tensor(c: QCategory, d: QCategory, validate: bool = True) -> QCategory:
-    """Product category: paired objects, homs multiplied pointwise."""
+    """Product category: paired objects, homs multiplied pointwise.
+
+    The hom is built when first read.  Validation accepts when each leaf
+    has a unit diagonal and composes within tol over the number of leaves
+    (multiplication is monotone and 1-Lipschitz on every float carrier);
+    otherwise the dense check runs and names the witness.
+    """
     if not compatible(c.quantale, d.quantale):
         raise CompositionError(
             f"tensor over different quantales: {c.quantale.name} vs {d.quantale.name}"
         )
-    q = c.quantale
-    objs = [pair_name(a, b) for a in c.objects for b in d.objects]
-    hom, arrays = _outer_values(q, c.hom, d.hom, c._arrays, d._arrays)
-    cat = build_category(q, objs, hom, validate=False, factors=(c, d))
-    cat._arrays.update(arrays)
-    if validate:
+    objs = tuple(pair_name(a, b) for a in c.objects for b in d.objects)
+    cat = QCategory(c.quantale, objs, None, (c, d))
+    object.__delattr__(cat, "hom")  # built by __getattr__ on first read
+    object.__setattr__(cat, "_tensor", True)
+    leaves = _leaves(cat)
+    if validate and not all(_leaf_holds(f, float_tol() / len(leaves)) for f in leaves):
         _validate(cat)
     return cat
+
+
+def _gate(phi, force: bool):
+    """Raise LaxityError unless phi is certified lax or strict, or forced."""
+    if not phi.is_certified_lax and not force:
+        raise LaxityError(
+            f"map {phi.name} has verdict {phi.verdict!r}; verify it with "
+            f"check_lax or pass force=True"
+        )
 
 
 def pushforward(
@@ -337,11 +393,7 @@ def pushforward(
         )
     if getattr(phi, "kind", None) == "identity":
         return c
-    if not phi.is_certified_lax and not force:
-        raise LaxityError(
-            f"map {phi.name} has verdict {phi.verdict!r}; verify it with "
-            f"check_lax or pass force=True"
-        )
+    _gate(phi, force)
     q2 = phi.target
     hom = [[phi(v) for v in row] for row in c.hom]
     factors = None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .categories import QCategory, pushforward
+from .categories import QCategory, _gate, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
 from .problems import DesignProblem, _make_problem, _series_values
 from .quantales import Quantale, compatible, make_powerset
@@ -551,14 +551,6 @@ def classify_cost_to_bool(grid: Sequence, quantale: Quantale = None) -> GridClas
 
 # ---------------------------------------------------------------------------
 # change of base for problems, heterogeneous composition
-
-
-def _gate(phi: LaxMap, force: bool):
-    if not phi.is_certified_lax and not force:
-        raise LaxityError(
-            f"map {phi.name} has verdict {phi.verdict!r}; verify it with "
-            f"check_lax or pass force=True"
-        )
 
 
 def pushforward_problem(

@@ -164,6 +164,59 @@ def test_tensor_of_huge_nats_is_exact():
             assert v == a.hom[i // 3][j // 3] + b.hom[i % 3][j % 3]
 
 
+def test_tensor_validation_names_the_loop_witness(rng):
+    # valid factors pass leaf by leaf; a factor with one perturbed cell
+    # sends the check to the dense hom, whose witness the error names
+    for name, mk in quantale_families().items():
+        q = mk()
+        for _ in range(6):
+            a = random_category(q, rng, 2, 4)
+            b = random_category(q, rng, 3, 4)
+            hom = [list(row) for row in b.hom]
+            hom[rng.randrange(len(hom))][rng.randrange(len(hom))] = q.sample(rng)
+            bad = build_category(q, b.objects, hom, validate=False)
+            for c, d in ((a, b), (a, bad), (tensor(bad, a, validate=False), a)):
+                t = tensor(c, d, validate=False)
+                try:
+                    build_category(q, t.objects, t.hom)
+                    want = None
+                except CategoryError as exc:
+                    want = str(exc)
+                if want is None:
+                    tensor(c, d)
+                else:
+                    with pytest.raises(CategoryError) as got:
+                        tensor(c, d)
+                    assert str(got.value) == want, name
+
+
+def test_model_tensor_homs_are_built_on_first_read(monkeypatch):
+    from qodesign import categories
+    from qodesign.casestudies import UavTaskSpec, uav_powerset_model
+
+    outer, built = categories._outer_values, []
+
+    def recording_outer_values(q, a, b, *memos):
+        built.append((len(a), len(b)))
+        return outer(q, a, b, *memos)
+
+    monkeypatch.setattr(categories, "_outer_values", recording_outer_values)
+    doc = uav_powerset_model(UavTaskSpec.coarse())
+    doc.run_query("loadouts_mid_budget")
+    assert built == []
+    loop_in = doc.categories["LoopIn"]
+    a, b = loop_in.factors
+    hom = loop_in.hom
+    q = loop_in.quantale
+    assert built[-1] == (len(a.objects), len(b.objects))  # after its factor ChoiceI
+    nb = len(b.objects)
+    for i, row in enumerate(hom):
+        for j, v in enumerate(row):
+            assert v == q.mult(a.hom[i // nb][j // nb], b.hom[i % nb][j % nb])
+    dense = build_category(q, loop_in.objects, hom)
+    assert tensor(a, b) == dense and hash(tensor(a, b)) == hash(dense)
+
+
 def test_tensor_requires_same_quantale():
     with pytest.raises(Exception):
         tensor(

@@ -13,6 +13,7 @@ from qodesign import (
     QValue,
     bool_quantale,
     build_category,
+    builtin_lax,
     build_problem,
     chain_category,
     check_bimodule,
@@ -26,6 +27,7 @@ from qodesign import (
     pair_name,
     parallel,
     pareto_front,
+    pushforward,
     series,
     series_breakdown,
     tensor,
@@ -35,6 +37,7 @@ from qodesign import (
 )
 
 from conftest import (
+    close_values,
     quantale_families,
     random_category,
     random_problem,
@@ -268,6 +271,90 @@ def test_bool_bimodule_check_counts_past_a_byte():
     assert check_bimodule(d) == ("r", "r", "f1", "f0")
     with pytest.raises(ProblemError):
         build_problem(cr, cf, d.values)
+
+
+def _counting(monkeypatch, name):
+    """Replace _fastpath.<name> by a wrapper; returns its list of calls."""
+    original, calls = getattr(_fastpath, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_fastpath, name, wrapper)
+    return calls
+
+
+def _perturbed(q, d, rng):
+    """d with one random cell replaced by a random carrier value."""
+    rows = [list(row) for row in d.values]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[i][j] = q.sample(rng)
+    return DesignProblem(d.source, d.target, tuple(map(tuple, rows)))
+
+
+def test_tensor_bimodule_check_names_the_loop_witness(rng, monkeypatch):
+    # 9 x 8-12 objects, so 72-108 cells; the target nests a tensor in a
+    # tensor.  Closed tables pass the leaf-by-leaf test; a perturbed cell
+    # usually fails it and falls through to the dense kernel.
+    leaf_calls = _counting(monkeypatch, "_leaf_moves_hold")
+    dense_calls = _counting(monkeypatch, "bimodule_violation")
+    for name, mk in quantale_families().items():
+        q = mk()
+        for _ in range(3):
+            src = tensor(random_category(q, rng, 3, 3), random_category(q, rng, 3, 3))
+            inner = tensor(random_category(q, rng, 2, 2), random_category(q, rng, 2, 2))
+            tgt = tensor(inner, random_category(q, rng, 2, 3))
+            dense_calls.clear()
+            d = random_problem(src, tgt, rng)
+            assert dense_calls == [], name  # the leaf test accepts closed tables
+            for e in (d, _perturbed(q, d, rng), _perturbed(q, d, rng)):
+                fresh = DesignProblem(
+                    tensor(*src.factors, validate=False), tensor(inner, tgt.factors[1]), e.values
+                )  # homs not yet built, as in a model
+                want = check_bimodule(e, method="loop")
+                assert check_bimodule(e) == want, name
+                assert check_bimodule(fresh) == want, name
+    assert leaf_calls
+
+
+def test_pushed_tensor_is_checked_whole(rng):
+    # phi(a + b) <= phi(a) + phi(b) for phi = sqrt, so the pushed tensor's
+    # hom allows more moves than the tensor of the pushed factors: values
+    # closed over the latter can break the pushed tensor's moves.
+    qc = cost_quantale()
+    phi = builtin_lax("sqrt_cost", qc, qc, degree=2)
+    broken = 0
+    for _ in range(30):
+        t = tensor(random_category(qc, rng, 3, 3), random_category(qc, rng, 3, 3))
+        src = pushforward(t, phi)
+        tgt = tensor(random_category(qc, rng, 3, 3), random_category(qc, rng, 3, 3))
+        raw = [[qc.sample(rng) for _ in tgt.objects] for _ in src.objects]
+        values = close_values(tensor(*src.factors), tgt, raw)
+        d = DesignProblem(src, tgt, tuple(map(tuple, values)))
+        want = check_bimodule(d, method="loop")
+        assert check_bimodule(d) == want
+        broken += want is not None
+    assert broken
+
+
+def test_nat_tensor_past_the_exact_bound_takes_the_loop(monkeypatch):
+    # each factor stays below 2**51, their sum reaches it
+    q = nat_quantale()
+    a = nat_grid_category([0, 2**50], q)
+    b = nat_grid_category([0, 1, 2**50], q)
+    src = tensor(a, b)
+    tgt = tensor(nat_grid_category([0, 1, 2], q), nat_grid_category([0, 1, 2, 3], q))
+    d = build_problem(src, tgt, [[0] * 12 for _ in range(6)], validate=False)
+    kernels = [_counting(monkeypatch, k) for k in ("_leaf_moves_hold", "bimodule_violation")]
+    assert check_bimodule(d) == check_bimodule(d, method="loop") is None
+    assert kernels == [[], []]
+    assert _fastpath.mode_for(q, a.hom, b.hom) == "minplus"
+    assert _fastpath.mode_for(q, src.hom) is None  # as on the built hom
+    # one below the bound, the leaf-by-leaf kernel runs
+    low = tensor(a, nat_grid_category([0, 1, 2**50 - 1], q))
+    assert check_bimodule(DesignProblem(low, tgt, d.values)) is None
+    assert kernels[0]
 
 
 def _traceable(q, rng):
