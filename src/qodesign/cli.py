@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose",
         action="store_true",
-        help="show per-interface-object contributions for series diagrams",
+        help="show per-interface-object contributions for series and "
+        "hetero_series diagrams",
     )
 
     p = sub.add_parser("sweep", help="tabulate a diagram over all pairs")

@@ -655,12 +655,6 @@ def hetero_trace(
     """Feedback across quantales: push the problem and loop, then trace."""
     from .problems import trace
 
-    if not compatible(phi.source, d.quantale):
-        raise CompositionError(
-            f"map {phi.name} expects {phi.source.name}, problem is over "
-            f"{d.quantale.name}"
-        )
-    _gate(phi, force)
     pd = pushforward_problem(d, phi, force=force, validate=False)
     ploop = pushforward(loop, phi, force=force, validate=False)
     return trace(pd, ploop, validate=validate)

@@ -16,7 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..categories import QCategory, build_category, pushforward, tensor
 from ..errors import CodesignError, ModelError
@@ -39,7 +39,6 @@ from ..problems import (
     identity_problem,
     parallel,
     series,
-    series_breakdown,
     trace,
 )
 from ..quantales import (
@@ -277,16 +276,80 @@ class SweepSpec:
 # the document
 
 
-_SECTIONS = (
-    "quantale",
-    "category",
-    "map",
-    "catalog",
-    "problem",
-    "diagram",
-    "query",
-    "sweep",
-)
+# Section name -> the ModelDocument attribute holding its registry.
+_REGISTRIES = {
+    "quantale": "quantales",
+    "category": "categories",
+    "map": "maps",
+    "catalog": "catalogs",
+    "problem": "problems",
+    "diagram": "diagrams",
+    "query": "queries",
+    "sweep": "sweeps",
+}
+
+
+class _Op(NamedTuple):
+    """How the document composes, measures and explains one operator.
+
+    Each callable takes the node's resolved arguments in DIAGRAM_OPS order.
+    """
+
+    apply: Callable
+    # the node's cut and what it counts; None for nodes without one
+    cut: Optional[Callable] = None
+    counts: str = ""
+    # (quantale, phi1, phi2) of a node whose value at (r, f) is the join
+    # over its first operand's target objects m of
+    # phi1(d1(r, m)) * phi2(d2(m, f)); None for other nodes
+    join: Optional[Callable] = None
+
+
+def _same(v):
+    return v
+
+
+# Rows call the operators through lambdas, so that they look each name up
+# in this module when called: a wrapper installed on the module attribute
+# (a profiler or tracer) then sees every composition.
+_OPS = {
+    "series": _Op(
+        lambda *a: series(*a),
+        lambda d1, d2: len(d1.target.objects),
+        "interface objects",
+        lambda d1, d2: (d1.quantale, _same, _same),
+    ),
+    "parallel": _Op(
+        lambda *a: parallel(*a), lambda *a: 1, "independent sides"
+    ),
+    "trace": _Op(
+        lambda *a: trace(*a),
+        lambda d, loop: len(d.source.objects),
+        "looped source objects",
+    ),
+    "hetero_series": _Op(
+        lambda *a: hetero_series(*a),
+        lambda d1, d2, phi1, phi2: len(d1.target.objects),
+        "interface objects",
+        lambda d1, d2, phi1, phi2: (phi1.target, phi1, phi2),
+    ),
+    "hetero_parallel": _Op(
+        lambda *a: hetero_parallel(*a), lambda *a: 1, "independent sides"
+    ),
+    "hetero_trace": _Op(
+        lambda *a: hetero_trace(*a),
+        lambda d, loop, phi: len(d.source.objects),
+        "looped source objects",
+    ),
+    "pushforward": _Op(lambda *a: pushforward_problem(*a)),
+    "identity": _Op(lambda *a: identity_problem(*a)),
+    "catalog_problem": _Op(lambda *a: catalog_problem(*a)),
+    "implementation_series": _Op(
+        lambda *a: implementation_series(*a),
+        lambda first, second, requires, mid, provides: len(mid.objects),
+        "interface objects",
+    ),
+}
 
 
 class ModelDocument:
@@ -311,17 +374,7 @@ class ModelDocument:
     # -- registration --------------------------------------------------------
 
     def _claim(self, section: str, name: str):
-        registry = {
-            "quantale": self.quantales,
-            "category": self.categories,
-            "map": self.maps,
-            "catalog": self.catalogs,
-            "problem": self.problems,
-            "diagram": self.diagrams,
-            "query": self.queries,
-            "sweep": self.sweeps,
-        }[section]
-        if name in registry:
+        if name in getattr(self, _REGISTRIES[section]):
             raise ModelError(f"duplicate {section} name {name!r}")
         self._order.append((section, name))
         self._cache.clear()
@@ -441,25 +494,15 @@ class ModelDocument:
     # -- lookups --------------------------------------------------------------
 
     def _get(self, section: str, name: str):
-        registry = {
-            "quantale": self.quantales,
-            "category": self.categories,
-            "map": self.maps,
-            "catalog": self.catalogs,
-            "problem": self.problems,
-            "diagram": self.diagrams,
-        }[section]
+        registry = getattr(self, _REGISTRIES[section])
         if name not in registry:
             known = ", ".join(sorted(registry)) or "none declared"
             raise ModelError(f"unknown {section} {name!r} (known: {known})")
         return registry[name]
 
     def _ref_diagram(self, name: str):
-        if name not in self.diagrams and name not in self.problems:
-            raise ModelError(
-                f"unknown diagram {name!r} (known: "
-                f"{', '.join(sorted(self.diagrams)) or 'none declared'})"
-            )
+        if name not in self.problems:
+            self._get("diagram", name)
 
     def _check_expr(self, expr, context: str):
         if not isinstance(expr, tuple) or not expr:
@@ -480,24 +523,11 @@ class ModelDocument:
             raise ModelError(
                 f"diagram {context!r}: {op} takes {len(sig)} arguments"
             )
-        slot_section = {
-            "trace": ("category",),
-            "hetero_trace": ("category", "map"),
-            "hetero_series": ("map", "map"),
-            "hetero_parallel": ("map", "map"),
-            "pushforward": ("map",),
-            "identity": ("category",),
-            "catalog_problem": ("catalog", "category", "category"),
-            "implementation_series": (
-                "catalog", "catalog", "category", "category", "category",
-            ),
-        }.get(op, ())
-        name_slots = iter(slot_section)
         for slot, arg in zip(sig, expr[1:]):
             if slot == "expr":
                 self._check_expr(arg, context)
             else:
-                self._get(next(name_slots), arg)
+                self._get(slot, arg)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -538,79 +568,30 @@ class ModelDocument:
         for slot, arg in zip(DIAGRAM_OPS[op], expr[1:]):
             if slot == "expr":
                 self._node_stats(arg, stats)
-        if op in ("series", "hetero_series"):
-            cut = len(self._eval(expr[1]).target.objects)
-            stats.append(NodeStat(op, cut, "interface objects"))
-        elif op in ("parallel", "hetero_parallel"):
-            stats.append(NodeStat(op, 1, "independent sides"))
-        elif op in ("trace", "hetero_trace"):
-            cut = len(self._eval(expr[1]).source.objects)
-            stats.append(NodeStat(op, cut, "looped source objects"))
-        elif op == "implementation_series":
-            cut = len(self._get("category", expr[4]).objects)
-            stats.append(NodeStat(op, cut, "interface objects"))
+        row = _OPS[op]
+        if row.cut is not None:
+            stats.append(NodeStat(op, row.cut(*self._args(expr)), row.counts))
+
+    def _args(self, expr) -> tuple:
+        """A node's arguments: subexpressions evaluated through the cache,
+        names looked up in the section their slot names."""
+        return tuple(
+            self._eval(arg) if slot == "expr" else self._get(slot, arg)
+            for slot, arg in zip(DIAGRAM_OPS[expr[0]], expr[1:])
+        )
 
     def _eval(self, expr) -> DesignProblem:
         key = ("expr", expr)
         if key in self._cache:
             return self._cache[key]
-        op = expr[0]
-        if op == "ref":
+        if expr[0] == "ref":
             name = expr[1]
             if name in self.diagrams:
-                sub = self.diagrams[name]
-                out = self._eval(sub)
+                out = self._eval(self.diagrams[name])
             else:
                 out = self.problems[name]
-        elif op == "series":
-            d1 = self._eval(expr[1])
-            d2 = self._eval(expr[2])
-            out = series(d1, d2)
-        elif op == "parallel":
-            d1 = self._eval(expr[1])
-            d2 = self._eval(expr[2])
-            out = parallel(d1, d2)
-        elif op == "trace":
-            d = self._eval(expr[1])
-            out = trace(d, self._get("category", expr[2]))
-        elif op == "hetero_series":
-            d1 = self._eval(expr[1])
-            d2 = self._eval(expr[2])
-            out = hetero_series(
-                d1, d2, self._get("map", expr[3]), self._get("map", expr[4])
-            )
-        elif op == "hetero_parallel":
-            d1 = self._eval(expr[1])
-            d2 = self._eval(expr[2])
-            out = hetero_parallel(
-                d1, d2, self._get("map", expr[3]), self._get("map", expr[4])
-            )
-        elif op == "hetero_trace":
-            d = self._eval(expr[1])
-            out = hetero_trace(
-                d, self._get("category", expr[2]), self._get("map", expr[3])
-            )
-        elif op == "pushforward":
-            d = self._eval(expr[1])
-            out = pushforward_problem(d, self._get("map", expr[2]))
-        elif op == "identity":
-            out = identity_problem(self._get("category", expr[1]))
-        elif op == "catalog_problem":
-            out = catalog_problem(
-                self._get("catalog", expr[1]),
-                self._get("category", expr[2]),
-                self._get("category", expr[3]),
-            )
-        elif op == "implementation_series":
-            out = implementation_series(
-                self._get("catalog", expr[1]),
-                self._get("catalog", expr[2]),
-                self._get("category", expr[3]),
-                self._get("category", expr[4]),
-                self._get("category", expr[5]),
-            )
         else:
-            raise ModelError(f"unknown diagram operator {op!r}")
+            out = _OPS[expr[0]].apply(*self._args(expr))
         self._cache[key] = out
         return out
 
@@ -625,12 +606,7 @@ class ModelDocument:
         verbose: bool = False,
     ) -> QueryResult:
         if name is not None:
-            spec = self.queries.get(name)
-            if spec is None:
-                raise ModelError(
-                    f"unknown query {name!r} (known: "
-                    f"{', '.join(sorted(self.queries)) or 'none declared'})"
-                )
+            spec = self._get("query", name)
             diagram, resource, functionality = (
                 spec.diagram, spec.resource, spec.functionality,
             )
@@ -655,45 +631,24 @@ class ModelDocument:
         )
 
     def _breakdown(self, diagram: str, resource: str, functionality: str):
-        expr = (
-            self.diagrams[diagram]
-            if diagram in self.diagrams
-            else ("ref", diagram)
-        )
+        expr = ("ref", diagram)
         while expr[0] == "ref" and expr[1] in self.diagrams:
             expr = self.diagrams[expr[1]]
-        op = expr[0]
-        if op == "series":
-            d1 = self._eval(expr[1])
-            d2 = self._eval(expr[2])
-            terms, _ = series_breakdown(d1, d2, resource, functionality)
-            q = d1.quantale
-        elif op == "hetero_series":
-            d1 = self._eval(expr[1])
-            d2 = self._eval(expr[2])
-            phi1 = self._get("map", expr[3])
-            phi2 = self._get("map", expr[4])
-            q = phi1.target
-            i = d1.source.index(resource)
-            j = d2.target.index(functionality)
-            terms = [
-                (
-                    m,
-                    q.mult(phi1(d1.values[i][k]), phi2(d2.values[k][j])),
-                )
-                for k, m in enumerate(d1.target.objects)
-            ]
-        else:
+        if expr[0] == "ref" or _OPS[expr[0]].join is None:
             return None
-        return tuple((m, _value_text(q, v), v) for m, v in terms)
+        args = self._args(expr)
+        d1, d2 = args[:2]
+        q, phi1, phi2 = _OPS[expr[0]].join(*args)
+        i = d1.source.index(resource)
+        j = d2.target.index(functionality)
+        out = []
+        for k, m in enumerate(d1.target.objects):
+            v = q.mult(phi1(d1.values[i][k]), phi2(d2.values[k][j]))
+            out.append((m, _value_text(q, v), v))
+        return tuple(out)
 
     def run_sweep(self, name: str) -> ResultTable:
-        spec = self.sweeps.get(name)
-        if spec is None:
-            raise ModelError(
-                f"unknown sweep {name!r} (known: "
-                f"{', '.join(sorted(self.sweeps)) or 'none declared'})"
-            )
+        spec = self._get("sweep", name)
         d = self.compose(spec.diagram)
         return ResultTable(
             spec.diagram, d.source.objects, d.target.objects, d.values, d.quantale
@@ -883,35 +838,28 @@ _RENDERERS = {
 # building documents from parsed declarations
 
 
-def _build_quantale(doc: ModelDocument, decl: QuantaleDecl, entity):
-    loc = decl.loc
-    try:
-        if decl.kind == "bool":
-            q = bool_quantale(decl.name)
-        elif decl.kind == "cost":
-            q = cost_quantale(decl.name)
-        elif decl.kind == "nat":
-            q = nat_quantale(decl.name)
-        elif decl.kind == "pace":
-            q = pace_quantale(decl.name)
-        elif decl.kind == "fuzz":
-            q = fuzz_quantale(decl.args[0], decl.name)
-        elif decl.kind == "powerset":
-            q = make_powerset(decl.args, decl.name)
-        else:
-            factors = [doc._get("quantale", n) for n in decl.args]
-            if len(factors) < 2:
-                raise ModelError("product needs at least two factors")
-            q = make_product(factors, decl.name)
-        spec = (decl.kind,) + tuple(decl.args)
-        doc.add_quantale(decl.name, q, spec)
-    except ModelError as exc:
-        raise _at(exc, loc, entity)
-    except CodesignError as exc:
-        raise ModelError(str(exc), loc.line, loc.col, entity) from None
+def _build_quantale(doc: ModelDocument, decl: QuantaleDecl):
+    if decl.kind == "bool":
+        q = bool_quantale(decl.name)
+    elif decl.kind == "cost":
+        q = cost_quantale(decl.name)
+    elif decl.kind == "nat":
+        q = nat_quantale(decl.name)
+    elif decl.kind == "pace":
+        q = pace_quantale(decl.name)
+    elif decl.kind == "fuzz":
+        q = fuzz_quantale(decl.args[0], decl.name)
+    elif decl.kind == "powerset":
+        q = make_powerset(decl.args, decl.name)
+    else:
+        factors = [doc._get("quantale", n) for n in decl.args]
+        if len(factors) < 2:
+            raise ModelError("product needs at least two factors")
+        q = make_product(factors, decl.name)
+    doc.add_quantale(decl.name, q, (decl.kind,) + tuple(decl.args))
 
 
-def _fill_matrix(q, row_names, col_names, entries, default, diag_unit, entity, loc):
+def _fill_matrix(q, row_names, col_names, entries, default, diag_unit, entity):
     index_r = {n: i for i, n in enumerate(row_names)}
     index_c = {n: i for i, n in enumerate(col_names)}
     filled = [[None] * len(col_names) for _ in row_names]
@@ -939,175 +887,124 @@ def _fill_matrix(q, row_names, col_names, entries, default, diag_unit, entity, l
                 elif dflt is not None:
                     filled[i][j] = dflt
                 else:
-                    raise ModelError(
-                        f"missing entry {rn!r} -> {cn!r} and no default",
-                        loc.line,
-                        loc.col,
-                        entity,
-                    )
+                    raise ModelError(f"missing entry {rn!r} -> {cn!r} and no default")
     return filled
 
 
-def _build_category(doc: ModelDocument, decl: CategoryDecl, entity):
-    loc = decl.loc
-    try:
-        if decl.tensor_of is not None:
-            doc.add_tensor_category(decl.name, *decl.tensor_of)
-            return
-        if decl.pushforward_of is not None:
-            doc.add_pushforward_category(decl.name, *decl.pushforward_of)
-            return
-        q = doc._get("quantale", decl.quantale)
-        objs = decl.objects
-        if decl.order == "chain":
-            hom = [
-                [q.unit if i <= j else q.bottom for j in range(len(objs))]
-                for i in range(len(objs))
-            ]
-            spec = ("chain",)
-        elif decl.order == "discrete":
-            hom = [
-                [q.unit if i == j else q.bottom for j in range(len(objs))]
-                for i in range(len(objs))
-            ]
-            spec = ("discrete",)
-        elif decl.order == "grid":
-            if q.kind not in ("cost", "nat"):
-                raise ModelError(
-                    "grid order needs a cost or nat quantale",
-                    loc.line, loc.col, entity,
-                )
-            try:
-                nums = [
-                    int(o) if q.kind == "nat" else float(o) for o in objs
-                ]
-            except ValueError:
-                raise ModelError(
-                    "grid order needs numeric object names",
-                    loc.line, loc.col, entity,
-                ) from None
-            if any(b <= a for a, b in zip(nums, nums[1:])):
-                raise ModelError(
-                    "grid objects must be strictly ascending",
-                    loc.line, loc.col, entity,
-                )
-            zero = 0 if q.kind == "nat" else 0.0
-            hom = [[max(y - x, zero) for y in nums] for x in nums]
-            spec = ("grid",)
-        else:
-            hom = _fill_matrix(
-                q, objs, objs, decl.hom_entries, decl.default, True, entity, loc
+def _build_category(doc: ModelDocument, decl: CategoryDecl):
+    if decl.tensor_of is not None:
+        doc.add_tensor_category(decl.name, *decl.tensor_of)
+        return
+    if decl.pushforward_of is not None:
+        doc.add_pushforward_category(decl.name, *decl.pushforward_of)
+        return
+    q = doc._get("quantale", decl.quantale)
+    objs = decl.objects
+    if decl.order == "chain":
+        hom = [
+            [q.unit if i <= j else q.bottom for j in range(len(objs))]
+            for i in range(len(objs))
+        ]
+    elif decl.order == "discrete":
+        hom = [
+            [q.unit if i == j else q.bottom for j in range(len(objs))]
+            for i in range(len(objs))
+        ]
+    elif decl.order == "grid":
+        if q.kind not in ("cost", "nat"):
+            raise ModelError("grid order needs a cost or nat quantale")
+        try:
+            nums = [int(o) if q.kind == "nat" else float(o) for o in objs]
+        except ValueError:
+            raise ModelError("grid order needs numeric object names") from None
+        if any(b <= a for a, b in zip(nums, nums[1:])):
+            raise ModelError("grid objects must be strictly ascending")
+        zero = 0 if q.kind == "nat" else 0.0
+        hom = [[max(y - x, zero) for y in nums] for x in nums]
+    else:
+        hom = _fill_matrix(
+            q, objs, objs, decl.hom_entries, decl.default, True, decl.name
+        )
+    cat = build_category(q, objs, hom)
+    doc.add_category(decl.name, cat, (decl.order or "table",))
+
+
+def _build_map(doc: ModelDocument, decl: MapDecl):
+    src = doc._get("quantale", decl.source)
+    tgt = doc._get("quantale", decl.target)
+    params = dict(decl.params)
+    if decl.kind == "table":
+        params["entries"] = [
+            (
+                _payload_from_tree(src, f, decl.name),
+                _payload_from_tree(tgt, t, decl.name),
             )
-            spec = ("table",)
-        cat = build_category(q, objs, hom)
-        doc.add_category(decl.name, cat, spec)
-    except ModelError as exc:
-        raise _at(exc, loc, entity)
-    except CodesignError as exc:
-        raise ModelError(str(exc), loc.line, loc.col, entity) from None
+            for f, t, _ in decl.table_entries
+        ]
+    phi = builtin_lax(decl.kind, src, tgt, decl.name, **params)
+    if phi.verdict is None:
+        check_lax(phi)
+    doc.add_map(decl.name, phi)
 
 
-def _build_map(doc: ModelDocument, decl: MapDecl, entity):
-    loc = decl.loc
-    try:
-        src = doc._get("quantale", decl.source)
-        tgt = doc._get("quantale", decl.target)
-        params = dict(decl.params)
-        if decl.kind == "table":
-            params["entries"] = [
-                (
-                    _payload_from_tree(src, f, entity),
-                    _payload_from_tree(tgt, t, entity),
-                )
-                for f, t, _ in decl.table_entries
-            ]
-        phi = builtin_lax(decl.kind, src, tgt, decl.name, **params)
-        if phi.verdict is None:
-            check_lax(phi)
-        doc.add_map(decl.name, phi)
-    except ModelError as exc:
-        raise _at(exc, loc, entity)
-    except CodesignError as exc:
-        raise ModelError(str(exc), loc.line, loc.col, entity) from None
+def _build_catalog(doc: ModelDocument, decl: CatalogDecl):
+    parts = tuple(CatalogPart(n, req, prov) for n, req, prov, _ in decl.parts)
+    doc.add_catalog(decl.name, Catalog(decl.name, parts))
 
 
-def _build_catalog(doc: ModelDocument, decl: CatalogDecl, entity):
-    try:
-        parts = tuple(
-            CatalogPart(n, req, prov) for n, req, prov, _ in decl.parts
-        )
-        doc.add_catalog(decl.name, Catalog(decl.name, parts))
-    except ModelError as exc:
-        raise _at(exc, decl.loc, entity)
-    except CodesignError as exc:
-        raise ModelError(str(exc), decl.loc.line, decl.loc.col, entity) from None
+def _build_problem(doc: ModelDocument, decl: ProblemDecl):
+    src = doc._get("category", decl.source)
+    tgt = doc._get("category", decl.target)
+    vals = _fill_matrix(
+        src.quantale,
+        src.objects,
+        tgt.objects,
+        decl.entries,
+        decl.default,
+        False,
+        decl.name,
+    )
+    d = build_problem(src, tgt, vals)
+    doc.add_problem(decl.name, d, decl.source, decl.target)
 
 
-def _build_problem(doc: ModelDocument, decl: ProblemDecl, entity):
-    loc = decl.loc
-    try:
-        src = doc._get("category", decl.source)
-        tgt = doc._get("category", decl.target)
-        vals = _fill_matrix(
-            src.quantale,
-            src.objects,
-            tgt.objects,
-            decl.entries,
-            decl.default,
-            False,
-            entity,
-            loc,
-        )
-        d = build_problem(src, tgt, vals)
-        doc.add_problem(decl.name, d, decl.source, decl.target)
-    except ModelError as exc:
-        raise _at(exc, loc, entity)
-    except CodesignError as exc:
-        raise ModelError(str(exc), loc.line, loc.col, entity) from None
-
-
-def _at(exc: ModelError, loc, entity) -> ModelError:
-    if exc.line is None:
-        return ModelError(exc.message, loc.line, loc.col, entity or exc.entity)
-    return exc
+_BUILDERS = {
+    QuantaleDecl: _build_quantale,
+    CategoryDecl: _build_category,
+    MapDecl: _build_map,
+    CatalogDecl: _build_catalog,
+    ProblemDecl: _build_problem,
+    DiagramDecl: lambda doc, d: doc.add_diagram(d.name, d.expr),
+    QueryDecl: lambda doc, d: doc.add_query(
+        d.name, d.diagram, d.resource, d.functionality
+    ),
+    SweepDecl: lambda doc, d: doc.add_sweep(d.name, d.diagram),
+}
 
 
 def build_document(decls, name: str = "model") -> ModelDocument:
     """Resolve parsed declarations into a validated document.
 
     Declarations bind strictly in file order; every reference must point
-    at an earlier declaration.
+    at an earlier declaration.  A failure without a position of its own
+    is reported at its declaration.
     """
     doc = ModelDocument(name)
     for decl in decls:
-        entity = getattr(decl, "name", None)
-        if isinstance(decl, QuantaleDecl):
-            _build_quantale(doc, decl, entity)
-        elif isinstance(decl, CategoryDecl):
-            _build_category(doc, decl, entity)
-        elif isinstance(decl, MapDecl):
-            _build_map(doc, decl, entity)
-        elif isinstance(decl, CatalogDecl):
-            _build_catalog(doc, decl, entity)
-        elif isinstance(decl, ProblemDecl):
-            _build_problem(doc, decl, entity)
-        elif isinstance(decl, DiagramDecl):
-            try:
-                doc.add_diagram(decl.name, decl.expr)
-            except ModelError as exc:
-                raise _at(exc, decl.loc, entity)
-        elif isinstance(decl, QueryDecl):
-            try:
-                doc.add_query(decl.name, decl.diagram, decl.resource, decl.functionality)
-            except ModelError as exc:
-                raise _at(exc, decl.loc, entity)
-        elif isinstance(decl, SweepDecl):
-            try:
-                doc.add_sweep(decl.name, decl.diagram)
-            except ModelError as exc:
-                raise _at(exc, decl.loc, entity)
-        else:
+        build = _BUILDERS.get(type(decl))
+        if build is None:
             raise ModelError(f"unknown declaration record {decl!r}")
+        loc = decl.loc
+        try:
+            build(doc, decl)
+        except ModelError as exc:
+            if exc.line is not None:
+                raise
+            raise ModelError(
+                exc.message, loc.line, loc.col, decl.name or exc.entity
+            )
+        except CodesignError as exc:
+            raise ModelError(str(exc), loc.line, loc.col, decl.name) from None
     return doc
 
 

@@ -55,17 +55,21 @@ _WORD_CHARS = set(
 )
 _PUNCT = set("{}[]():,=")
 
+# Operator -> argument slots: "expr" is a subexpression; any other slot
+# is a name looked up in that section of the document.
 DIAGRAM_OPS = {
     "series": ("expr", "expr"),
     "parallel": ("expr", "expr"),
-    "trace": ("expr", "name"),
-    "hetero_series": ("expr", "expr", "name", "name"),
-    "hetero_parallel": ("expr", "expr", "name", "name"),
-    "hetero_trace": ("expr", "name", "name"),
-    "pushforward": ("expr", "name"),
-    "identity": ("name",),
-    "catalog_problem": ("name", "name", "name"),
-    "implementation_series": ("name", "name", "name", "name", "name"),
+    "trace": ("expr", "category"),
+    "hetero_series": ("expr", "expr", "map", "map"),
+    "hetero_parallel": ("expr", "expr", "map", "map"),
+    "hetero_trace": ("expr", "category", "map"),
+    "pushforward": ("expr", "map"),
+    "identity": ("category",),
+    "catalog_problem": ("catalog", "category", "category"),
+    "implementation_series": (
+        "catalog", "catalog", "category", "category", "category",
+    ),
 }
 
 MAP_KINDS = (

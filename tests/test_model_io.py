@@ -10,9 +10,20 @@ from qodesign import (
     CodesignError,
     LaxityError,
     ModelError,
+    NodeStat,
     load_model,
     loads,
 )
+from qodesign.lax import (
+    catalog_problem,
+    hetero_parallel,
+    hetero_series,
+    hetero_trace,
+    implementation_series,
+    pushforward_problem,
+)
+from qodesign.problems import identity_problem, parallel, series, trace
+from qodesign.quantales import compatible
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qodesign" / "models"
 
@@ -345,3 +356,142 @@ def test_documents_report_diagram_stats():
     assert max(cuts) >= 2
     ops = {s.op for s in stats}
     assert "series" in ops
+
+
+# ---------------------------------------------------------------------------
+# every diagram operator through a document
+
+OPS_MODEL = (
+    "quantale C = cost\n"
+    "quantale B = bool\n"
+    "map fin = cost_to_bool_finite(C -> B)\n"
+    "category R over C { objects: r0, r1  order: chain }\n"
+    "category M over C { objects: m0, m1, m2  order: chain }\n"
+    "category RM = tensor(R, M)\n"
+    "category MM = tensor(M, M)\n"
+    "category RB = pushforward(R, fin)\n"
+    "category MB = pushforward(M, fin)\n"
+    "catalog first { part a0 requires r0 provides m0\n"
+    "                part a1 requires r1 provides m1 }\n"
+    "catalog second { part b0 requires m0 provides r0\n"
+    "                 part b1 requires m2 provides r0 }\n"
+    "problem p : R -> M { default: 2  values { r1 -> m0 : 1  r1 -> m1 : 1 } }\n"
+    "problem q : M -> R { default: 3  values { m0 -> r0 : inf  m0 -> r1 : inf } }\n"
+    "problem l : RM -> MM { default: 1 }\n"
+)
+
+# (op, arguments, the direct API call, the diagram_stats entry or None,
+#  index of the argument replaced by an unknown name, expected message)
+OP_CASES = [
+    ("series", ("p", "q"), lambda g: series(g("p"), g("q")),
+     (3, "interface objects"), 1, "unknown problem or diagram 'nope'"),
+    ("parallel", ("p", "q"), lambda g: parallel(g("p"), g("q")),
+     (1, "independent sides"), 0, "unknown problem or diagram 'nope'"),
+    ("trace", ("l", "M"), lambda g: trace(g("l"), g("M")),
+     (6, "looped source objects"), 1, "unknown category 'nope'"),
+    ("hetero_series", ("p", "q", "fin", "fin"),
+     lambda g: hetero_series(g("p"), g("q"), g("fin"), g("fin")),
+     (3, "interface objects"), 3, "unknown map 'nope'"),
+    ("hetero_parallel", ("p", "q", "fin", "fin"),
+     lambda g: hetero_parallel(g("p"), g("q"), g("fin"), g("fin")),
+     (1, "independent sides"), 2, "unknown map 'nope'"),
+    ("hetero_trace", ("l", "M", "fin"),
+     lambda g: hetero_trace(g("l"), g("M"), g("fin")),
+     (6, "looped source objects"), 1, "unknown category 'nope'"),
+    ("pushforward", ("p", "fin"), lambda g: pushforward_problem(g("p"), g("fin")),
+     None, 1, "unknown map 'nope'"),
+    ("identity", ("R",), lambda g: identity_problem(g("R")),
+     None, 0, "unknown category 'nope'"),
+    ("catalog_problem", ("first", "RB", "MB"),
+     lambda g: catalog_problem(g("first"), g("RB"), g("MB")),
+     None, 2, "unknown category 'nope'"),
+    ("implementation_series", ("first", "second", "RB", "MB", "RB"),
+     lambda g: implementation_series(
+         g("first"), g("second"), g("RB"), g("MB"), g("RB")
+     ),
+     (3, "interface objects"), 3, "unknown category 'nope'"),
+]
+
+
+@pytest.mark.parametrize("case", OP_CASES, ids=[c[0] for c in OP_CASES])
+def test_every_diagram_op_through_a_document(case):
+    op, args, direct, stat, bad, message = case
+    line = f"diagram d = {op}({', '.join(args)})\n"
+    doc = loads(OPS_MODEL + line, name="ops")
+
+    def get(name):
+        for registry in (doc.problems, doc.categories, doc.maps, doc.catalogs):
+            if name in registry:
+                return registry[name]
+        raise KeyError(name)
+
+    composed, expected = doc.compose("d"), direct(get)
+    # catalog operators make a fresh parts powerset on every call
+    assert compatible(composed.quantale, expected.quantale)
+    for side in ("source", "target"):
+        a, b = getattr(composed, side), getattr(expected, side)
+        assert (a.objects, a.hom) == (b.objects, b.hom)
+    assert composed.values == expected.values
+
+    rendered = doc.render()
+    assert rendered.endswith(line)
+    assert loads(rendered, name="ops").render() == rendered
+
+    stats, out = doc.diagram_stats("d")
+    assert out.values == composed.values
+    assert stats == (() if stat is None else (NodeStat(op, *stat),))
+
+    with pytest.raises(ModelError) as info:
+        doc.add_diagram("short", (op,) + args[:-1])
+    assert info.value.message == (
+        f"diagram 'short': {op} takes {len(args)} arguments"
+    )
+
+    wrong = list(args)
+    wrong[bad] = "nope"
+    err = _err(OPS_MODEL + f"diagram d = {op}({', '.join(wrong)})\n")
+    assert message in err.message
+    assert err.entity == "d"
+    assert (err.line, err.column) == (OPS_MODEL.count("\n") + 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# build errors come back located at their declaration
+
+DECL_FAILURES = [
+    # a ModelError raised without a position
+    ("quantale", "quantale C = cost\n", "quantale P = product(C)",
+     "at least two factors"),
+    # another CodesignError (a category axiom)
+    ("category", "quantale C = cost\n",
+     "category W over C { objects: x, y  default: 1  hom { x -> x : inf } }",
+     "identity axiom"),
+    # a ModelError raised at the declaration
+    ("grid category", "quantale B = bool\n",
+     "category G over B { objects: 1, 2  order: grid }",
+     "grid order needs a cost or nat quantale"),
+    ("map", "quantale C = cost\n", "map s = scale(C -> C, factor=0)",
+     "factor must be positive finite"),
+    ("catalog", "",
+     "catalog k { part a requires x provides y  part a requires y provides x }",
+     "duplicate part name 'a'"),
+    ("problem",
+     "quantale C = cost\ncategory X over C { objects: a, b  order: chain }\n",
+     "problem p : X -> X { default: 1  values { b -> a : inf } }",
+     "bimodule"),
+    ("diagram", OPS_MODEL, "diagram d = pushforward(p, nope)", "unknown map 'nope'"),
+    ("query", OPS_MODEL, "query d { diagram: nope  resource: r0  functionality: r0 }",
+     "unknown diagram 'nope'"),
+    ("sweep", OPS_MODEL, "sweep d { diagram: nope }", "unknown diagram 'nope'"),
+]
+
+
+@pytest.mark.parametrize(
+    "case", DECL_FAILURES, ids=[c[0] for c in DECL_FAILURES]
+)
+def test_build_errors_name_their_declaration(case):
+    _, prelude, decl, message = case
+    err = _err(prelude + decl + "\n")
+    assert message in err.message
+    assert (err.line, err.column) == (prelude.count("\n") + 1, 1)
+    assert err.entity == decl.split()[1]
