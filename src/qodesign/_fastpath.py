@@ -11,7 +11,11 @@ kernel mode:
 - bits:    powersets up to 63 names, one bit per name
 
 encode and decode translate payload tables to and from the mode's
-arrays.  Everything else reads one row of _ALGEBRA per mode: the
+arrays; decode's payloads are already in normal form.  A problem or a
+tensor hom can be held as its array alone: the operators keep their
+kernel's output array, and its payloads are decoded only when read.
+as_array and outside take an array given as values: its mode, and the
+cells that encode no payload of the carrier.  Everything else reads one row of _ALGEBRA per mode: the
 elementwise multiplication, the join as a ufunc whose reduce folds an
 axis, the bottom (the join of no values, so an empty interface needs
 no special case), the dtype, and the elementwise test "x is not below y
@@ -26,11 +30,11 @@ NAT_EXACT_BELOW or more.  The check kernels return the first violating
 output cell in row-major order; callers resume their element loop there
 to name the witness with exact carrier operations.  outer_product gives
 the values of a tensor category or a parallel composite; callers take it
-for outputs of OUTER_MIN_CELLS or more and decode it with decode_shared,
-one payload object per distinct value.  hom_array reads a table through
-the per-mode memo of encoded arrays its category or problem keeps; the
-operators fill their output's memo with the array they decoded from.
-_leaf_moves_hold is the bimodule check of a table between tensors, one
+for outputs of OUTER_MIN_CELLS or more.  Arrays of that many cells are
+decoded with decode_shared, one payload object per distinct value.
+hom_array reads a table through the per-mode memo of encoded arrays its
+category or problem keeps; an array-backed problem's memo holds its
+array from the start.  _leaf_moves_hold is the bimodule check of a table between tensors, one
 leaf category at a time: (sum of leaf sizes) * cells, not (nr + nf) * cells.
 """
 
@@ -125,34 +129,54 @@ def encode(q, mode, rows):
 
 
 def decode(q, mode, arr):
-    if mode == "bool":
-        return [[bool(v) for v in row] for row in arr]
     if mode == "bits":
         base = q.params["base"]
-        out = []
-        for row in arr:
-            out.append(
-                [
-                    frozenset(base[i] for i in range(len(base)) if int(v) >> i & 1)
-                    for v in row
-                ]
-            )
-        return out
+        sets = {  # one frozenset per distinct mask
+            m: frozenset(b for i, b in enumerate(base) if m >> i & 1)
+            for m in set(arr.ravel().tolist())
+        }
+        return [[sets[m] for m in row] for row in arr.tolist()]
     if q.kind == "pace":
-        return [[_PACE_BY_RANK[int(v)] for v in row] for row in arr]
+        return [[_PACE_BY_RANK[int(v)] for v in row] for row in arr.tolist()]
     if q.kind == "nat":
-        return [
-            [math.inf if math.isinf(v) else int(round(v)) for v in row] for row in arr
-        ]
-    return [[float(v) for v in row] for row in arr]
+        return [[v if v == math.inf else int(v) for v in row] for row in arr.tolist()]
+    return arr.tolist()  # bool, or float: inf and -0.0 kept
 
 
 def decode_shared(q, mode, arr):
     """decode(q, mode, arr), with every cell of one value holding one
-    shared payload object: each distinct value is decoded once."""
-    values, inverse = np.unique(arr, return_inverse=True)
+    shared payload object: each distinct value is decoded once.  Floats
+    are told apart by their bits, so -0.0 keeps its sign."""
+    key = arr.view(np.uint64) if arr.dtype == float else arr
+    keys, inverse = np.unique(key, return_inverse=True)
+    values = keys.view(float) if arr.dtype == float else keys
     payloads = np.array(decode(q, mode, values[None, :])[0], dtype=object)
     return payloads[inverse.reshape(arr.shape)].tolist()
+
+
+def outside(q, mode, arr):
+    """Elementwise: the cell encodes no payload of q in mode.  cost is
+    >= 0 or inf, nat also integral, fuzz in [0, 1], pace a rank 0-3, and
+    bits hold no bit past the base; NaN is outside every carrier."""
+    if mode == "bool":
+        return np.zeros(arr.shape, dtype=bool)
+    if mode == "bits":
+        return (arr >> np.uint64(len(q.params["base"]))) != 0
+    inside = arr >= 0
+    if q.kind in ("fuzz", "pace"):
+        inside &= arr <= (1.0 if q.kind == "fuzz" else 3.0)
+    if q.kind in ("nat", "pace"):
+        inside &= np.floor(arr) == arr
+    return ~inside
+
+
+def as_array(q, table):
+    """(mode, array): table in the kernel mode of q when it is an ndarray
+    and q has a mode, cast to the mode's dtype; else (None, table)."""
+    mode = mode_for(q) if isinstance(table, np.ndarray) else None
+    if mode is None:
+        return None, table
+    return mode, table.astype(_ALGEBRA[mode].dtype, copy=False)
 
 
 def hom_array(q, mode, hom, arrays=None):
@@ -185,10 +209,9 @@ def _product(mode, a, b):
 
 
 def _first_true(mask):
-    idx = np.argwhere(mask)
-    if len(idx) == 0:
+    if not mask.any():  # the common case, and cheaper than argwhere
         return None
-    return tuple(int(v) for v in idx[0])
+    return tuple(int(v) for v in np.argwhere(mask)[0])
 
 
 def series_product(mode, a, b):

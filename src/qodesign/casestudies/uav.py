@@ -228,12 +228,11 @@ def _str_grid(values) -> tuple:
     return tuple(str(v) for v in values)
 
 
-def _tensor_rows(table4, flip_w=True):
+def _tensor_rows(table4):
     # table4 axes (k, w, p, w2) with w ascending; categories list weights
     # descending, so flip both weight axes before flattening row-major.
-    t = table4[:, ::-1, :, ::-1] if flip_w else table4
-    nk, nw, npay, nw2 = t.shape
-    return t.reshape(nk * nw, npay * nw2).tolist()
+    nk, nw, npay, nw2 = table4.shape
+    return table4[:, ::-1, :, ::-1].reshape(nk * nw, npay * nw2)
 
 
 def uav_cost_model(
@@ -426,32 +425,17 @@ def uav_powerset_model(
 
     penalty = _penalty_map(task)
     _, totals = _pair_tables(task, actuators, batteries, penalty, keep_pairs=True)
-    nk = len(task.served_grid)
-    nw = len(task.weight_grid)
-    npay = len(task.payload_grid)
-    masks = {
-        name: table[:, ::-1, :, ::-1] for name, table in totals.items()
-    }
-    cache = {}
-
-    def level_set(bits):
-        got = cache.get(bits)
-        if got is None:
-            got = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-            cache[bits] = got
-        return got
-
-    stage_rows = []
-    for bi, b in enumerate(task.budget_grid):
-        packed = np.zeros((nk, nw, npay, nw), dtype=np.uint64)
-        for i, name in enumerate(pairs):
-            packed |= (masks[name] <= float(b)).astype(np.uint64) << np.uint64(i)
-        flat = packed.reshape(nk * nw, npay * nw)
-        for kw in range(nk * nw):
-            stage_rows.append([level_set(int(x)) for x in flat[kw]])
-    doc.add_problem(
-        "stage", build_problem(loop_in, loop_out, stage_rows), "LoopIn", "LoopOut"
-    )
+    # stage[(b, k, w), (p, w2)]: bit i set when pairs[i], the Impl base's
+    # i-th name, fits budget b; weights descending as in _tensor_rows
+    nb, nk = len(task.budget_grid), len(task.served_grid)
+    nw, npay = len(task.weight_grid), len(task.payload_grid)
+    budgets = np.array(task.budget_grid, dtype=float)[:, None, None, None, None]
+    packed = np.zeros((nb, nk, nw, npay, nw), dtype=np.uint64)
+    for i, name in enumerate(pairs):
+        fits = totals[name][None, :, ::-1, :, ::-1] <= budgets
+        np.bitwise_or(packed, np.uint64(1 << i), out=packed, where=fits)
+    stage = packed.reshape(nb * nk * nw, npay * nw)
+    doc.add_problem("stage", build_problem(loop_in, loop_out, stage), "LoopIn", "LoopOut")
 
     _add_feasibility_problems(doc, task)
 

@@ -47,9 +47,11 @@ class QCategory:
         if name != "hom" or not self._tensor:
             raise AttributeError(name)
         a, b = self.factors
-        rows, arrays = _outer_values(self.quantale, a.hom, b.hom, a._arrays, b._arrays)
-        object.__setattr__(self, "hom", tuple(map(tuple, rows)))
-        self._arrays.update(arrays)
+        table, mode = _outer_values(self.quantale, a.hom, b.hom, a._arrays, b._arrays)
+        if mode is not None:
+            self._arrays[mode] = table
+            table = _decode_rows(self.quantale, mode, table)
+        object.__setattr__(self, "hom", tuple(map(tuple, table)))
         return self.hom
 
     def __repr__(self):
@@ -298,20 +300,24 @@ def pair_name(a: str, b: str) -> str:
 
 
 def _outer_values(q: Quantale, a, b, a_arrays=None, b_arrays=None):
-    """(rows, arrays): rows (i,k), columns (j,l) of a[i][j] * b[k][l], and
-    {mode: the array they were decoded from}, empty after the element loop.
-    a_arrays and b_arrays are the operands' memos when they are homs."""
+    """(table, mode): rows (i,k), columns (j,l) of a[i][j] * b[k][l], as
+    an array of kernel mode, or as payload rows and None after the element
+    loop.  a_arrays and b_arrays are the operands' memos when they are homs."""
     cells = len(a) * len(b) * (len(a[0]) if a else 0) * (len(b[0]) if b else 0)
     mode = _fastpath.mode_for(q, a, b)
     if mode is not None and cells >= _fastpath.OUTER_MIN_CELLS:
-        arr = _fastpath.outer_product(
-            mode,
-            _fastpath.hom_array(q, mode, a, a_arrays),
-            _fastpath.hom_array(q, mode, b, b_arrays),
-        )
-        return _fastpath.decode_shared(q, mode, arr), {mode: arr}
+        a, b = _fastpath.hom_array(q, mode, a, a_arrays), _fastpath.hom_array(q, mode, b, b_arrays)
+        return _fastpath.outer_product(mode, a, b), mode
     mult = q.mult
-    return [[mult(x, y) for x in ra for y in rb] for ra in a for rb in b], {}
+    return [[mult(x, y) for x in ra for y in rb] for ra in a for rb in b], None
+
+
+def _decode_rows(q: Quantale, mode, arr) -> tuple:
+    """arr's payloads as _normalize_table would return them: decode's are
+    normal already.  From OUTER_MIN_CELLS cells on, cells of one value
+    share one payload object."""
+    big = arr.size >= _fastpath.OUTER_MIN_CELLS
+    return tuple(map(tuple, (_fastpath.decode_shared if big else _fastpath.decode)(q, mode, arr)))
 
 
 def _leaves(cat: QCategory) -> tuple:
@@ -319,23 +325,36 @@ def _leaves(cat: QCategory) -> tuple:
     return sum(map(_leaves, cat.factors), ()) if cat._tensor else (cat,)
 
 
-def _hom_array(cat: QCategory, mode):
-    """cat.hom encoded for mode through cat's memo; a tensor's is the outer
-    product of its factors' arrays, so its payload hom is not built."""
-    if cat._tensor and mode not in cat._arrays:
-        a, b = cat.factors
-        cat._arrays[mode] = _fastpath.outer_product(mode, _hom_array(a, mode), _hom_array(b, mode))
-    return _fastpath.hom_array(cat.quantale, mode, cat.__dict__.get("hom"), cat._arrays)
+def _table(x):
+    """x's payload table, a category's hom or a problem's values, or None
+    while it is unbuilt: a tensor's hom, an array-backed problem's values."""
+    return x.__dict__.get("hom" if isinstance(x, QCategory) else "values")
 
 
-def _guard_rows(cat: QCategory):
-    """cat.hom as mode_for's nat range guard reads it, without building a
-    tensor's hom: one row with its largest finite value, the sum of its
-    leaves' (inf absorbs).  Other carriers do not read the rows."""
-    if not cat._tensor or cat.quantale.kind != "nat":
-        return () if cat._tensor else cat.hom
-    finite = ([v for row in c.hom for v in row if v != math.inf] for c in _leaves(cat))
-    return ((sum(max(vs, default=math.inf) for vs in finite),),)
+def _hom_array(x, mode):
+    """x's table (see _table) encoded for mode through x's memo; a tensor's
+    is the outer product of its factors' arrays, so its hom is not built."""
+    if isinstance(x, QCategory) and x._tensor and mode not in x._arrays:
+        a, b = x.factors
+        x._arrays[mode] = _fastpath.outer_product(mode, _hom_array(a, mode), _hom_array(b, mode))
+    return _fastpath.hom_array(x.quantale, mode, _table(x), x._arrays)
+
+
+def _guard_rows(x):
+    """x's table (see _table) as mode_for's nat range guard reads it,
+    without building it: one row with its largest finite value, for a
+    tensor the sum of its leaves' (inf absorbs).  Other carriers do not
+    read the rows."""
+    if x.quantale.kind != "nat":
+        return ()
+    if isinstance(x, QCategory) and x._tensor:
+        finite = ([v for row in c.hom for v in row if v != math.inf] for c in _leaves(x))
+        return ((sum(max(vs, default=math.inf) for vs in finite),),)
+    table = _table(x)
+    if table is None:  # array-backed: its one memo entry is the minplus array
+        arr = x._arrays["minplus"]
+        return ((arr[arr != math.inf].max(initial=0.0),),)
+    return table
 
 
 def _leaf_holds(c: QCategory, tol) -> bool:

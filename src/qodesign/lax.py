@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional, Sequence
 
+from . import _fastpath
 from .categories import QCategory, _gate, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
-from .problems import DesignProblem, _make_problem, _series_values
+from .problems import DesignProblem, _make_problem, _series_loop
 from .quantales import Quantale, compatible, make_powerset
 from .values import float_tol
 
@@ -624,8 +625,13 @@ def hetero_series(
     tgt = pushforward(d2.target, phi2, force=force, validate=validate)
     a = [[phi1(v) for v in row] for row in d1.values]
     b = [[phi2(v) for v in row] for row in d2.values]
-    vals, arrays = _series_values(q, a, b, len(d2.target.objects))
-    return _make_problem(q, src, tgt, vals, "heterogeneous series output", validate, arrays)
+    mode, n_out = _fastpath.mode_for(q, a, b), len(d2.target.objects)
+    if mode is not None and a and b and n_out:
+        a_arr, b_arr = _fastpath.encode(q, mode, a), _fastpath.encode(q, mode, b)
+        table = _fastpath.series_product(mode, a_arr, b_arr)
+    else:
+        table, mode = _series_loop(q, a, b, n_out), None
+    return _make_problem(q, src, tgt, table, "heterogeneous series output", validate, mode)
 
 
 def hetero_parallel(

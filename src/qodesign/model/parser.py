@@ -268,6 +268,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.entity = entity
+        self.decl = None  # name of the declaration being parsed, once read
 
     # -- token helpers
 
@@ -282,7 +283,12 @@ class _Parser:
 
     def fail(self, msg: str, tok: Token = None):
         tok = tok or self.peek()
-        raise ModelError(msg, tok.line, tok.col, self.entity)
+        raise ModelError(msg, tok.line, tok.col, self.decl or self.entity)
+
+    def decl_name(self, what: str) -> str:
+        """The declaration's name; later errors in it are tagged with it."""
+        self.decl = self.expect_word(what).text
+        return self.decl
 
     def expect_punct(self, ch: str) -> Token:
         t = self.next()
@@ -370,11 +376,12 @@ class _Parser:
             if handler is None:
                 self.fail(f"unknown declaration {t.text!r}", t)
             decls.append(handler())
+            self.decl = None
         return decls
 
     def quantale_stmt(self):
         kw = self.next()
-        name = self.expect_word("quantale name").text
+        name = self.decl_name("quantale name")
         self.expect_punct("=")
         kind_tok = self.expect_word("quantale kind")
         kind = kind_tok.text
@@ -400,7 +407,7 @@ class _Parser:
 
     def category_stmt(self):
         kw = self.next()
-        name = self.expect_word("category name").text
+        name = self.decl_name("category name")
         t = self.next()
         if t.kind == "punct" and t.text == "=":
             form = self.expect_word("category constructor")
@@ -463,7 +470,7 @@ class _Parser:
 
     def map_stmt(self):
         kw = self.next()
-        name = self.expect_word("map name").text
+        name = self.decl_name("map name")
         self.expect_punct("=")
         kind_tok = self.expect_word("map kind")
         kind = kind_tok.text
@@ -502,7 +509,7 @@ class _Parser:
 
     def catalog_stmt(self):
         kw = self.next()
-        name = self.expect_word("catalog name").text
+        name = self.decl_name("catalog name")
         self.expect_punct("{")
         parts = []
         while not self.at_punct("}"):
@@ -518,7 +525,7 @@ class _Parser:
 
     def problem_stmt(self):
         kw = self.next()
-        name = self.expect_word("problem name").text
+        name = self.decl_name("problem name")
         self.expect_punct(":")
         source = self.expect_word("category name").text
         self.expect_arrow()
@@ -549,7 +556,7 @@ class _Parser:
 
     def diagram_stmt(self):
         kw = self.next()
-        name = self.expect_word("diagram name").text
+        name = self.decl_name("diagram name")
         self.expect_punct("=")
         expr = self.dexpr()
         return DiagramDecl(name, expr, Loc(kw.line, kw.col))
@@ -575,7 +582,7 @@ class _Parser:
 
     def query_stmt(self):
         kw = self.next()
-        name = self.expect_word("query name").text
+        name = self.decl_name("query name")
         self.expect_punct("{")
         fields = {}
         while not self.at_punct("}"):
@@ -599,7 +606,7 @@ class _Parser:
 
     def sweep_stmt(self):
         kw = self.next()
-        name = self.expect_word("sweep name").text
+        name = self.decl_name("sweep name")
         self.expect_punct("{")
         diagram = None
         while not self.at_punct("}"):

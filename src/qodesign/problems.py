@@ -18,6 +18,13 @@ parallel tensors independent problems, trace closes a feedback loop over
 a shared source/target factor.  Outputs of the operators on validated
 inputs are validated by construction (closure); validation can be
 switched off on hot paths and is always exercised by the property tests.
+
+A problem holds payload rows, or an array in its carrier's kernel
+encoding (see _fastpath): build_problem takes either, and the operators
+keep the kernel's output array.  An array is checked for membership when
+the problem is made, and its payload values are decoded on first read.
+The kernels read a problem through its memo of arrays, so a chain of
+operators on arrays decodes nothing but what is read.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Sequence
 
 from . import _fastpath
 from .categories import QCategory, _normalize_table, _outer_values, tensor
-from .categories import _guard_rows, _hom_array, _leaves
+from .categories import _decode_rows, _guard_rows, _hom_array, _leaves
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
 from .values import QValue, float_tol
@@ -40,8 +47,16 @@ class DesignProblem:
     values: tuple
 
     def __post_init__(self):
-        # kernel mode -> values as an array, read through _fastpath.hom_array
+        # kernel mode -> values as an array, read through _hom_array
         object.__setattr__(self, "_arrays", {})
+
+    def __getattr__(self, name):
+        # only an array-backed problem lacks its values, until the first read
+        if name != "values":
+            raise AttributeError(name)
+        (mode, arr), = self._arrays.items()
+        object.__setattr__(self, "values", _decode_rows(self.quantale, mode, arr))
+        return self.values
 
     @property
     def quantale(self) -> Quantale:
@@ -70,15 +85,14 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
     failing leaf move leaves the verdict to the dense kernel and loop.
     """
     q = d.quantale
-    V = d.values
     nr, nf = len(d.source.objects), len(d.target.objects)
     if nr == 0 or nf == 0:
         return None
     rs0 = fs0 = 0
-    guard = (_guard_rows(d.source), _guard_rows(d.target), V)
+    guard = (_guard_rows(d.source), _guard_rows(d.target), _guard_rows(d))
     mode = _fastpath.mode_for(q, *guard) if method == "auto" else None
     if mode is not None:
-        v, tol = _fastpath.hom_array(q, mode, V, d._arrays), float_tol()
+        v, tol = _hom_array(d, mode), float_tol()
         src, tgt = _leaves(d.source), _leaves(d.target)
         sizes = [len(c.objects) for c in src + tgt]
         if sum(sizes) < nr + nf and nr * nf >= _fastpath.OUTER_MIN_CELLS:
@@ -92,7 +106,7 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
         if cell is None:
             return None
         rs0, fs0 = cell
-    R, F = d.source.hom, d.target.hom
+    R, F, V = d.source.hom, d.target.hom, d.values
     mult, leq = q.mult, q.leq
     for rs in range(rs0, nr):
         for fs in range(fs0 if rs == rs0 else 0, nf):
@@ -121,15 +135,26 @@ def _require_bimodule(d: DesignProblem, what: str):
         )
 
 
-def _make_problem(q, source, target, rows, what, validate=True, arrays=None):
-    """A problem over source and target with rows, normalized, as values,
-    checked when validate is set.  arrays, the arrays rows were decoded
-    from, seed its memo."""
-    values = _normalize_table(
-        q, source.objects, target.objects, rows, ProblemError, noun="value row"
-    )
-    d = DesignProblem(source, target, values)
-    d._arrays.update(arrays or {})
+def _make_problem(q, source, target, table, what, validate=True, mode=None):
+    """A problem over source and target, checked when validate is set.
+    table is payload rows, normalized into its values, or with mode an
+    array in that kernel mode, checked for membership and decoded on the
+    first read of values."""
+    rs, fs = source.objects, target.objects
+    if mode is None:
+        values = _normalize_table(q, rs, fs, table, ProblemError, noun="value row")
+        d = DesignProblem(source, target, values)
+    else:
+        if table.shape != (len(rs), len(fs)):
+            raise ProblemError(f"expected a {len(rs)}x{len(fs)} value array, got {table.shape}")
+        bad = _fastpath._first_true(_fastpath.outside(q, mode, table))
+        if bad is not None:  # the payload path's error for the first bad cell
+            i, j = bad
+            cell = [[table[i, j].item()]]
+            _normalize_table(q, rs[i : i + 1], fs[j : j + 1], cell, ProblemError, noun="value row")
+        d = DesignProblem(source, target, None)
+        object.__delattr__(d, "values")  # decoded by __getattr__ on first read
+        d._arrays[mode] = table
     if validate:
         _require_bimodule(d, what)
     return d
@@ -171,15 +196,19 @@ def build_problem(
 ) -> DesignProblem:
     """Construct a design problem, checking the bimodule condition.
 
-    source and target must be enriched in the same quantale.  The check is
-    exhaustive over object quadruples and names a witness on failure.
+    source and target must be enriched in the same quantale.  values are
+    payload rows, or a numpy array in the carrier's kernel encoding: floats
+    for cost, nat and fuzz, pace ranks 0-3, bools, or uint64 bitsets whose
+    bit i is the powerset's i-th base name.  The check is exhaustive over
+    object quadruples and names a witness on failure.
     """
     if not compatible(source.quantale, target.quantale):
         raise ProblemError(
             f"source over {source.quantale.name} but target over "
             f"{target.quantale.name}"
         )
-    return _make_problem(source.quantale, source, target, values, "problem", validate)
+    mode, table = _fastpath.as_array(source.quantale, values)
+    return _make_problem(source.quantale, source, target, table, "problem", validate, mode)
 
 
 def evaluate(d: DesignProblem, r: str, f: str) -> QValue:
@@ -236,26 +265,13 @@ def _first_diff(xs, ys):
     return xs[len(ys):][:1] or ys[len(xs):][:1]
 
 
-def _series_values(q: Quantale, a_rows, b_rows, n_out: int, a_arrays=None, b_arrays=None):
-    """(rows, arrays): rows of join over mid of a[r][m] * b[m][f], and
-    {mode: the array they were decoded from}, empty after the element loop.
-    a_arrays and b_arrays are the operands' memos when they are problems."""
+def _series_loop(q: Quantale, a_rows, b_rows, n_out: int):
+    """Payload rows of join over mid of a[r][m] * b[m][f]: the element loop."""
     n_mid = len(b_rows)
-    mode = _fastpath.mode_for(q, a_rows, b_rows)
-    if mode is not None and len(a_rows) and n_out and n_mid:
-        arr = _fastpath.series_product(
-            mode,
-            _fastpath.hom_array(q, mode, a_rows, a_arrays),
-            _fastpath.hom_array(q, mode, b_rows, b_arrays),
-        )
-        return _fastpath.decode(q, mode, arr), {mode: arr}
-    out = []
-    for row in a_rows:
-        out_row = []
-        for j in range(n_out):
-            out_row.append(q.join(q.mult(row[m], b_rows[m][j]) for m in range(n_mid)))
-        out.append(out_row)
-    return out, {}
+    return [
+        [q.join(q.mult(row[m], b_rows[m][j]) for m in range(n_mid)) for j in range(n_out)]
+        for row in a_rows
+    ]
 
 
 def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> DesignProblem:
@@ -268,10 +284,13 @@ def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Desig
     q = d1.quantale
     if not compatible(q, d2.quantale):
         raise CompositionError("series: problems over different quantales")
-    vals, arrays = _series_values(
-        q, d1.values, d2.values, len(d2.target.objects), d1._arrays, d2._arrays
-    )
-    return _make_problem(q, d1.source, d2.target, vals, "series output", validate, arrays)
+    mode = _fastpath.mode_for(q, _guard_rows(d1), _guard_rows(d2))
+    n_out = len(d2.target.objects)
+    if mode is not None and len(d1.source.objects) and len(d1.target.objects) and n_out:
+        table = _fastpath.series_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
+    else:
+        table, mode = _series_loop(q, d1.values, d2.values, n_out), None
+    return _make_problem(q, d1.source, d2.target, table, "series output", validate, mode)
 
 
 def series_breakdown(d1: DesignProblem, d2: DesignProblem, r: str, f: str):
@@ -298,8 +317,12 @@ def parallel(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Des
         raise CompositionError("parallel: problems over different quantales")
     src = tensor(d1.source, d2.source, validate=False)
     tgt = tensor(d1.target, d2.target, validate=False)
-    vals, arrays = _outer_values(q, d1.values, d2.values, d1._arrays, d2._arrays)
-    return _make_problem(q, src, tgt, vals, "parallel output", validate, arrays)
+    mode = _fastpath.mode_for(q, _guard_rows(d1), _guard_rows(d2))
+    if mode is not None and len(src.objects) * len(tgt.objects) >= _fastpath.OUTER_MIN_CELLS:
+        table = _fastpath.outer_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
+    else:  # the element loop
+        table, mode = _outer_values(q, d1.values, d2.values)
+    return _make_problem(q, src, tgt, table, "parallel output", validate, mode)
 
 
 def _trace_factors(d: DesignProblem, loop: QCategory):
@@ -324,14 +347,12 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
     r_cat, f_cat = _trace_factors(d, loop)
     q = d.quantale
     nr, nm, nf = len(r_cat.objects), len(loop.objects), len(f_cat.objects)
-    mode = _fastpath.mode_for(q, d.values, _guard_rows(loop))
-    arrays = {}
+    mode = _fastpath.mode_for(q, _guard_rows(d), _guard_rows(loop))
     if mode is not None and nr and nf:
-        d4 = _fastpath.hom_array(q, mode, d.values, d._arrays).reshape(nr, nm, nf, nm)
-        arr = arrays[mode] = _fastpath.trace_values(mode, d4, _hom_array(loop, mode))
-        vals = _fastpath.decode(q, mode, arr)
+        d4 = _hom_array(d, mode).reshape(nr, nm, nf, nm)
+        table = _fastpath.trace_values(mode, d4, _hom_array(loop, mode))
     else:
-        vals = []
+        table = []
         for r in range(nr):
             row = []
             for f in range(nf):
@@ -342,8 +363,8 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
                         for mp in range(nm)
                     )
                 )
-            vals.append(row)
-    return _make_problem(q, r_cat, f_cat, vals, "trace output", validate, arrays)
+            table.append(row)
+    return _make_problem(q, r_cat, f_cat, table, "trace output", validate, mode)
 
 
 def pareto_front(d: DesignProblem, f: str):

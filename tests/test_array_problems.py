@@ -1,0 +1,207 @@
+"""Array-backed design problems: built from a kernel array, values decoded
+on first read, exactly as the payload path would normalize them."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qodesign import (
+    DesignProblem,
+    ProblemError,
+    build_problem,
+    builtin_lax,
+    chain_category,
+    check_bimodule,
+    identity_problem,
+    make_powerset,
+    nat_grid_category,
+    nat_quantale,
+    parallel,
+    series,
+    tensor,
+    trace,
+)
+from qodesign import _fastpath
+from qodesign.categories import _normalize_table
+from qodesign.lax import hetero_series
+
+from conftest import (
+    quantale_families,
+    random_category,
+    random_problem,
+    random_raw_problem,
+    wide_families,
+)
+
+
+def _exactly(got, want):
+    """Equal cell by cell, of the same type, with -0.0 apart from 0.0."""
+    assert len(got) == len(want)
+    for g_row, w_row in zip(got, want):
+        assert len(g_row) == len(w_row)
+        for g, w in zip(g_row, w_row):
+            assert type(g) is type(w) and g == w, (g, w)
+            if isinstance(g, float):
+                assert math.copysign(1.0, g) == math.copysign(1.0, w), (g, w)
+
+
+def _decoded(q, source, target, mode, arr):
+    """What the payload path makes of arr's decoded payloads."""
+    rows = _fastpath.decode(q, mode, arr)
+    return _normalize_table(q, source.objects, target.objects, rows, ProblemError)
+
+
+def _with_edge_values(q, mode, arr):
+    """arr with -0.0 in its first cell, and inf in its last on minplus."""
+    arr = arr.copy()
+    if arr.dtype == float:
+        arr[0, 0] = -0.0
+        if mode == "minplus":
+            arr[-1, -1] = math.inf
+    return arr
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (8, 9)], ids=["small", "shared"])
+def test_array_built_values_decode_as_the_payload_path(rng, sizes):
+    lo, hi = sizes
+    for name, mk in wide_families().items():
+        q = mk()
+        cr, cf = random_category(q, rng, lo, hi), random_category(q, rng, lo, hi)
+        rows = random_problem(cr, cf, rng).values
+        mode = _fastpath.mode_for(q, rows)
+        if mode is None:  # no array encoding: the payload path alone
+            assert name in ("product", "powerset64")
+            continue
+        arr = _with_edge_values(q, mode, _fastpath.encode(q, mode, rows))
+        twin = build_problem(cr, cf, _decoded(q, cr, cf, mode, arr), validate=False)
+        a = build_problem(cr, cf, arr, validate=False)
+        assert "values" not in vars(a), name
+        assert hash(a) == hash(twin) and a == twin, name
+        b = build_problem(cr, cf, arr, validate=False)
+        assert twin == b and b == a, name
+        _exactly(a.values, twin.values)
+        assert "values" in vars(a)
+
+
+def test_operator_outputs_decode_as_the_payload_path(rng):
+    for name, mk in wide_families().items():
+        q = mk()
+        loop = random_category(q, rng, 2, 3)
+        src = tensor(random_category(q, rng, 2, 3), loop)
+        tgt = tensor(random_category(q, rng, 2, 3), loop)
+        d = random_problem(src, tgt, rng)
+        e = random_problem(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3), rng)
+        keep = builtin_lax("identity", q, q)
+        outputs = {
+            "trace": trace(d, loop),
+            "series": series(d, identity_problem(d.target)),
+            "parallel": parallel(d, e),
+            "hetero_series": hetero_series(d, identity_problem(d.target), keep, keep),
+        }
+        mode = _fastpath.mode_for(q, d.values, e.values)
+        for op, out in outputs.items():
+            small = len(out.source.objects) * len(out.target.objects) < 64
+            if mode is None or (op == "parallel" and small):  # the element loop ran
+                assert "values" in vars(out), (name, op)
+                continue
+            assert "values" not in vars(out), (name, op)
+            (mode, arr), = out._arrays.items()
+            want = _decoded(q, out.source, out.target, mode, arr)
+            twin = DesignProblem(out.source, out.target, want)
+            assert hash(out) == hash(twin) and out == twin, (name, op)
+            _exactly(out.values, want)
+            assert check_bimodule(out) is None
+
+
+def test_array_built_problem_checks_as_its_payload_twin(rng):
+    for name, mk in quantale_families().items():
+        q = mk()
+        for _ in range(4):
+            cr = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
+            cf = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
+            twin = random_raw_problem(cr, cf, rng)
+            mode = _fastpath.mode_for(q, twin.values)
+            if mode is None:
+                continue
+            arr = _fastpath.encode(q, mode, twin.values)
+            a = build_problem(cr, cf, arr, validate=False)
+            assert check_bimodule(a) == check_bimodule(twin), name
+            if check_bimodule(twin) is None:  # only a witness reads the values
+                assert "values" not in vars(a), name
+            try:
+                build_problem(cr, cf, twin.values)
+                want = None
+            except ProblemError as exc:
+                want = str(exc)
+            if want is None:
+                build_problem(cr, cf, arr)
+            else:
+                with pytest.raises(ProblemError, match="bimodule") as got:
+                    build_problem(cr, cf, arr)
+                assert str(got.value) == want, name
+
+
+def test_array_backed_nat_past_the_exact_bound_takes_the_loop(monkeypatch):
+    c = nat_grid_category([0, 1, 2], nat_quantale())
+    ident, kernels = identity_problem(c), []
+    for name in ("bimodule_violation", "series_product", "_leaf_moves_hold"):
+        original = getattr(_fastpath, name)
+        monkeypatch.setattr(
+            _fastpath, name, lambda *a, _f=original: kernels.append(a) or _f(*a)
+        )
+    d = build_problem(c, c, np.full((3, 3), float(2**51)))  # constant: monotone
+    out = series(d, ident)
+    assert kernels == [] and "values" in vars(out)
+    assert out.values == ((2**51,) * 3,) * 3
+    below = build_problem(c, c, np.full((3, 3), float(2**51 - 1)))
+    assert "values" not in vars(series(below, ident))
+    assert kernels
+
+
+MEMBERSHIP_CASES = [
+    ("cost", lambda: quantale_families()["cost"](), math.nan),
+    ("negative cost", lambda: quantale_families()["cost"](), -1.5),
+    ("nat", lambda: quantale_families()["nat"](), 2.5),
+    ("fuzz", lambda: quantale_families()["fuzz_godel"](), 1.5),
+    ("pace", lambda: quantale_families()["pace"](), 4.0),
+    ("powerset", lambda: make_powerset(("a", "b", "c")), 1 << 3),
+]
+
+
+@pytest.mark.parametrize("case", MEMBERSHIP_CASES, ids=[c[0] for c in MEMBERSHIP_CASES])
+def test_array_membership_errors_match_the_payload_path(case):
+    _, mk, bad = case
+    q = mk()
+    cr, cf = chain_category(q, ("r0", "r1")), chain_category(q, ("f0", "f1", "f2"))
+    mode = _fastpath.mode_for(q)
+    arr = _fastpath.encode(q, mode, [[q.bottom] * 3, [q.bottom] * 3])
+    arr[1, 2] = arr[1, 0] = bad  # the first bad cell in row-major order is (r1, f0)
+    with pytest.raises(ProblemError) as got:
+        build_problem(cr, cf, arr, validate=False)
+    rows = [[q.bottom] * 3, [arr[1, 0].item(), q.bottom, arr[1, 2].item()]]
+    with pytest.raises(ProblemError) as want:
+        build_problem(cr, cf, rows, validate=False)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("entry ('r1', 'f0'): ")
+
+
+def test_uav_stage_is_never_decoded():
+    from qodesign.casestudies import uav_powerset_model
+
+    doc = uav_powerset_model()
+    stage = doc.problems["stage"]
+    doc.compose("selection")
+    res = doc.run_query("loadouts_mid_budget")
+    table = doc.run_sweep("loadouts")
+    assert "values" not in vars(stage)
+    assert sorted(res.value.payload) == [
+        f"{a}*{b}" for a in ("a1", "a2") for b in ("LCO", "LFP", "LMO", "LiPo", "NiMH")
+    ]
+    sizes = [[len(v) for v in row] for row in table.cells]
+    assert sizes == [[0, 0, 0], [5, 0, 0], [5, 0, 0], [10, 3, 0], [10, 4, 0], [15, 9, 0]]
+    # the same document with stage's payload twin answers the same
+    doc.problems["stage"] = build_problem(stage.source, stage.target, stage.values)
+    doc.clear_cache()
+    assert doc.run_query("loadouts_mid_budget").value == res.value
+    assert doc.run_sweep("loadouts").cells == table.cells

@@ -47,6 +47,37 @@ def test_syntax_error_carries_position():
     assert "line 2" in str(err)
 
 
+SYNTAX_IN_DECLS = [
+    # (declaration, text after TRACKING's first line, message, line, column)
+    ("diagram", TRACKING.replace("series(sensor, proc)", "series(sensor)"),
+     "expected ',', found ')'", 33, 33),
+    ("problem", "quantale C = cost\nproblem p : A -> B { default 1 }\n",
+     "expected ':', found '1'", 2, 30),
+    ("category", "quantale C = cost\ncategory W over C { objects x }\n",
+     "expected ':', found 'x'", 2, 29),
+]
+
+
+@pytest.mark.parametrize("case", SYNTAX_IN_DECLS, ids=[c[0] for c in SYNTAX_IN_DECLS])
+def test_syntax_errors_name_their_declaration(case):
+    kind, text, message, line, col = case
+    with pytest.raises(ModelError) as info:
+        loads(text, "ops")
+    err = info.value
+    assert (err.message, err.line, err.column) == (message, line, col)
+    decl = next(ln for ln in text.splitlines()[:line][::-1] if ln.startswith(kind))
+    assert err.entity == decl.split()[1] != "ops"
+    assert str(err).endswith(f"(line {line}, col {col}) [{err.entity}]")
+
+
+def test_syntax_errors_outside_a_declaration_name_the_model():
+    # before the name is read, and between declarations
+    for text in ("diagram = series(p, q)\n", "quantale C = cost\n42\n"):
+        with pytest.raises(ModelError) as info:
+            loads(text, "ops")
+        assert info.value.entity == "ops"
+
+
 def test_duplicate_declaration_names_the_entity():
     err = _err("quantale C = cost\nquantale C = bool\n")
     assert "duplicate" in err.message and "'C'" in err.message
