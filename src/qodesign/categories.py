@@ -41,6 +41,8 @@ class QCategory:
         object.__setattr__(self, "_index", index)
         # kernel mode -> hom as an array, read through _hom_array
         object.__setattr__(self, "_arrays", {})
+        # kernel mode -> searched presentation, read through _generators
+        object.__setattr__(self, "_presentations", {})
 
     def __getattr__(self, name):
         # only a tensor lacks its hom, until the first read builds it
@@ -225,15 +227,8 @@ def from_order(
         if sb not in index:
             raise CategoryError(f"unknown object {sb!r} in order pair")
         rel[index[sa]][index[sb]] = True
-    for k in range(n):
-        for i in range(n):
-            if rel[i][k]:
-                row_k = rel[k]
-                row_i = rel[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return build_category(quantale, objs, rel, validate=True)
+    closed = _fastpath.closure("bool", _fastpath.encode(quantale, "bool", rel))
+    return build_category(quantale, objs, closed.tolist(), validate=True)
 
 
 def chain_category(quantale: Quantale, objects: Sequence[str]) -> QCategory:
@@ -363,6 +358,17 @@ def _leaf_holds(c: QCategory, tol) -> bool:
     if mode is None or any(row[i] != q.unit for i, row in enumerate(c.hom)):
         return False
     return _fastpath.category_violation(mode, _hom_array(c, mode), tol) is None
+
+
+def _generators(c: QCategory, mode, cells: int):
+    """_fastpath.generators of c's hom in mode, searched and memoized on c
+    where the search, ceil(log2 n) + 1 products of n x n homs, costs less
+    than n passes over a table of cells cells, and so less than the dense
+    check it replaces; elsewhere c's trivial presentation, not kept."""
+    n = len(c.objects)
+    if mode not in c._presentations and n * n * ((n - 1).bit_length() + 1) < cells:
+        c._presentations[mode] = _fastpath.generators(mode, _hom_array(c, mode))
+    return c._presentations.get(mode) or _fastpath.generators(mode, _hom_array(c, mode), False)
 
 
 def tensor(c: QCategory, d: QCategory, validate: bool = True) -> QCategory:

@@ -24,7 +24,7 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from . import _fastpath
-from .categories import QCategory, _gate, pushforward
+from .categories import QCategory, _gate, _guard_rows, _hom_array, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
 from .problems import DesignProblem, _make_problem, _series_loop
 from .quantales import Quantale, compatible, make_powerset
@@ -613,6 +613,8 @@ def hetero_series(
     must agree at the interface: the composite's validity needs each
     problem's own bimodule property, not agreement of the two interface
     hom tables.  The result runs between the pushed endpoint categories.
+    An identity map leaves its operand as it is, read through its memo
+    of arrays, where another map is applied cell by cell.
     """
     _hetero_gates(d1, d2, phi1, phi2, force)
     if d1.target.objects != d2.source.objects:
@@ -623,13 +625,17 @@ def hetero_series(
     q = phi1.target
     src = pushforward(d1.source, phi1, force=force, validate=validate)
     tgt = pushforward(d2.target, phi2, force=force, validate=validate)
-    a = [[phi1(v) for v in row] for row in d1.values]
-    b = [[phi2(v) for v in row] for row in d2.values]
-    mode, n_out = _fastpath.mode_for(q, a, b), len(d2.target.objects)
-    if mode is not None and a and b and n_out:
-        a_arr, b_arr = _fastpath.encode(q, mode, a), _fastpath.encode(q, mode, b)
-        table = _fastpath.series_product(mode, a_arr, b_arr)
+    ops = [d if phi.kind == "identity" else [[phi(v) for v in row] for row in d.values]
+           for d, phi in ((d1, phi1), (d2, phi2))]
+    held = [isinstance(x, DesignProblem) for x in ops]
+    mode = _fastpath.mode_for(q, *(_guard_rows(x) if h else x for x, h in zip(ops, held)))
+    n_out = len(d2.target.objects)
+    if mode is not None and len(d1.source.objects) and len(d2.source.objects) and n_out:
+        a, b = (_hom_array(x, mode) if h else _fastpath.encode(q, mode, x)
+                for x, h in zip(ops, held))
+        table = _fastpath.series_product(mode, a, b)
     else:
+        a, b = (x.values if h else x for x, h in zip(ops, held))
         table, mode = _series_loop(q, a, b, n_out), None
     return _make_problem(q, src, tgt, table, "heterogeneous series output", validate, mode)
 

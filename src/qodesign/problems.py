@@ -34,7 +34,7 @@ from typing import Sequence
 
 from . import _fastpath
 from .categories import QCategory, _normalize_table, _outer_values, tensor
-from .categories import _decode_rows, _guard_rows, _hom_array, _leaves
+from .categories import _decode_rows, _generators, _guard_rows, _hom_array, _leaves
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
 from .values import QValue, float_tol
@@ -79,10 +79,15 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
     the element-wise loop; "auto" first runs the vectorized kernel when
     the carrier supports one, and the loop then starts at the kernel's
     violating (r*, f*), so both methods name the same witness.
-    Between tensors, "auto" first tests moves along one leaf category at
-    a time where that is less work: every move chains such moves, so the
-    table passes when each does within tol over the number of leaves.  A
-    failing leaf move leaves the verdict to the dense kernel and loop.
+    From OUTER_MIN_CELLS cells on, "auto" first tests the moves along the
+    generating edges of each leaf category of the source and target
+    (categories._generators; a category that is not a tensor is its own
+    leaf), where that is fewer passes over the table than the dense
+    kernel's nr + nf.  Every move chains such edges, so the table passes
+    when each edge does within tol over the sum of the leaves' longest
+    paths; a leaf without a presentation found has every pair as an
+    edge, of length 1, which is one full product per leaf.  A failing
+    edge leaves the verdict and the witness to the dense kernel and loop.
     """
     q = d.quantale
     nr, nf = len(d.source.objects), len(d.target.objects)
@@ -93,12 +98,13 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
     mode = _fastpath.mode_for(q, *guard) if method == "auto" else None
     if mode is not None:
         v, tol = _hom_array(d, mode), float_tol()
-        src, tgt = _leaves(d.source), _leaves(d.target)
-        sizes = [len(c.objects) for c in src + tgt]
-        if sum(sizes) < nr + nf and nr * nf >= _fastpath.OUTER_MIN_CELLS:
+        if nr * nf >= _fastpath.OUTER_MIN_CELLS:
+            src, tgt = _leaves(d.source), _leaves(d.target)
+            g, longest, passes = zip(*(_generators(c, mode, nr * nf) for c in src + tgt))
             # a source leaf moves a to a* by hom(a, a*), a target leaf by hom(a*, a)
-            steps = [_hom_array(c, mode).T for c in src] + [_hom_array(c, mode) for c in tgt]
-            if _fastpath._leaf_moves_hold(mode, v.reshape(sizes), steps, tol / len(sizes)):
+            steps = [x.T for x in g[: len(src)]] + list(g[len(src) :])
+            tol_edge = tol / max(1, sum(longest))
+            if sum(passes) < nr + nf and _fastpath.edges_hold(mode, v, steps, tol_edge):
                 return None
         cell = _fastpath.bimodule_violation(
             mode, _hom_array(d.source, mode), _hom_array(d.target, mode), v, tol

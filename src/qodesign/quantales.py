@@ -316,7 +316,7 @@ def fuzz_quantale(tnorm: str, name: str = None) -> Quantale:
         hom = lambda p, q: 1.0 if p <= q + tol else q
     elif tnorm == "goguen":
         mult = lambda p, q: p * q
-        hom = lambda p, q: 1.0 if p <= q + tol or p == 0 else min(1.0, q / p)
+        hom = lambda p, q: 1.0 if p <= q + tol else (q + tol) / p - tol
     else:
         mult = lambda p, q: max(0.0, p + q - 1.0)
         hom = lambda p, q: min(1.0, 1.0 - p + q)

@@ -4,6 +4,11 @@ Float comparisons throughout the engine use a single absolute tolerance.
 The default is 1e-9; the environment variable QODESIGN_FLOAT_TOL overrides
 it (read once at import time).  Discrete carriers compare exactly and
 never consult the tolerance.
+
+The model: a float p is below q when it is at most tol past q in the
+carrier's order (p <= q + tol on [0, 1], p >= q - tol on costs).  Each
+float residual [a, c] residuates this tolerant order, not the exact one:
+a * b is below c exactly when b is below [a, c], for every b.
 """
 
 from __future__ import annotations

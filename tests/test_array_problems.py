@@ -145,7 +145,7 @@ def test_array_built_problem_checks_as_its_payload_twin(rng):
 def test_array_backed_nat_past_the_exact_bound_takes_the_loop(monkeypatch):
     c = nat_grid_category([0, 1, 2], nat_quantale())
     ident, kernels = identity_problem(c), []
-    for name in ("bimodule_violation", "series_product", "_leaf_moves_hold"):
+    for name in ("bimodule_violation", "series_product", "edges_hold"):
         original = getattr(_fastpath, name)
         monkeypatch.setattr(
             _fastpath, name, lambda *a, _f=original: kernels.append(a) or _f(*a)
@@ -205,3 +205,23 @@ def test_uav_stage_is_never_decoded():
     doc.clear_cache()
     assert doc.run_query("loadouts_mid_budget").value == res.value
     assert doc.run_sweep("loadouts").cells == table.cells
+
+
+def test_identity_maps_read_their_operand_through_its_memo():
+    from qodesign.casestudies import uav_powerset_model
+    from qodesign.lax import LaxMap
+
+    doc = uav_powerset_model()
+    keep, calls = doc.maps["keep"], []
+    fn = keep.fn
+    keep.fn = lambda x: calls.append(x) or fn(x)
+    got = doc.compose("selection")
+    loop = doc.compose("stage_loop")
+    assert calls == [] and "values" not in vars(loop)
+    # the same composite through a per-cell copy of keep, the route every
+    # map took before
+    copy = LaxMap("keep", keep.source, keep.target, fn, verdict="strict")
+    want = hetero_series(doc.problems["choose_served"], loop, doc.maps["embed"], copy)
+    assert calls == [] and "values" in vars(loop)
+    _exactly(got.values, want.values)
+    assert got.source == want.source and got.target == want.target

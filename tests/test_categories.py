@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qodesign import (
     CategoryError,
@@ -85,24 +86,37 @@ def test_random_closed_categories_pass(rng):
             assert check_category_axioms(q, c.objects, c.hom) is None, name
 
 
-def test_from_order_equals_warshall_oracle(rng):
-    q = bool_quantale()
-    for _ in range(40):
-        n = rng.randint(2, 6)
-        objs = [f"o{i}" for i in range(n)]
-        pairs = [
-            (objs[rng.randrange(n)], objs[rng.randrange(n)])
-            for _ in range(rng.randint(0, n * 2))
-        ]
-        cat = from_order(q, objs, pairs)
-        reach = [[i == j for j in range(n)] for i in range(n)]
-        for a, b in pairs:
-            reach[objs.index(a)][objs.index(b)] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-        assert [list(r) for r in cat.hom] == reach
+def _warshall(n, pairs):
+    """Reflexive transitive closure of pairs of indices, by Warshall."""
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        reach[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return reach
+
+
+_relations = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        if n
+        else st.just([]),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relations)
+@example((4, [(0, 0), (0, 1), (1, 2), (2, 0), (3, 3)]))  # a cycle and self-pairs
+@example((10, [(i, i + 1) for i in range(9)]))  # a 9-edge path: four squarings
+def test_from_order_equals_warshall_oracle(relation):
+    n, pairs = relation
+    objs = [f"o{i}" for i in range(n)]
+    cat = from_order(bool_quantale(), objs, [(objs[a], objs[b]) for a, b in pairs])
+    assert [list(r) for r in cat.hom] == _warshall(n, pairs)
 
 
 def test_chain_discrete_structure():

@@ -21,6 +21,7 @@ from qodesign import (
     cost_quantale,
     discrete_category,
     evaluate,
+    from_order,
     identity_problem,
     nat_grid_category,
     nat_quantale,
@@ -45,6 +46,8 @@ from conftest import (
     wide_families,
 )
 from qodesign import _fastpath
+from qodesign.categories import _generators, _leaves
+from qodesign.values import float_tol
 
 
 def oracle_series(d1, d2):
@@ -295,9 +298,9 @@ def _perturbed(q, d, rng):
 
 def test_tensor_bimodule_check_names_the_loop_witness(rng, monkeypatch):
     # 9 x 8-12 objects, so 72-108 cells; the target nests a tensor in a
-    # tensor.  Closed tables pass the leaf-by-leaf test; a perturbed cell
+    # tensor.  Closed tables pass the edge-by-edge test; a perturbed cell
     # usually fails it and falls through to the dense kernel.
-    leaf_calls = _counting(monkeypatch, "_leaf_moves_hold")
+    leaf_calls = _counting(monkeypatch, "edges_hold")
     dense_calls = _counting(monkeypatch, "bimodule_violation")
     for name, mk in quantale_families().items():
         q = mk()
@@ -307,7 +310,7 @@ def test_tensor_bimodule_check_names_the_loop_witness(rng, monkeypatch):
             tgt = tensor(inner, random_category(q, rng, 2, 3))
             dense_calls.clear()
             d = random_problem(src, tgt, rng)
-            assert dense_calls == [], name  # the leaf test accepts closed tables
+            assert dense_calls == [], name  # the edge test accepts closed tables
             for e in (d, _perturbed(q, d, rng), _perturbed(q, d, rng)):
                 fresh = DesignProblem(
                     tensor(*src.factors, validate=False), tensor(inner, tgt.factors[1]), e.values
@@ -346,15 +349,167 @@ def test_nat_tensor_past_the_exact_bound_takes_the_loop(monkeypatch):
     src = tensor(a, b)
     tgt = tensor(nat_grid_category([0, 1, 2], q), nat_grid_category([0, 1, 2, 3], q))
     d = build_problem(src, tgt, [[0] * 12 for _ in range(6)], validate=False)
-    kernels = [_counting(monkeypatch, k) for k in ("_leaf_moves_hold", "bimodule_violation")]
+    kernels = [_counting(monkeypatch, k) for k in ("edges_hold", "bimodule_violation")]
     assert check_bimodule(d) == check_bimodule(d, method="loop") is None
     assert kernels == [[], []]
     assert _fastpath.mode_for(q, a.hom, b.hom) == "minplus"
     assert _fastpath.mode_for(q, src.hom) is None  # as on the built hom
-    # one below the bound, the leaf-by-leaf kernel runs
+    # one below the bound, the edge kernel runs
     low = tensor(a, nat_grid_category([0, 1, 2**50 - 1], q))
     assert check_bimodule(DesignProblem(low, tgt, d.values)) is None
     assert kernels[0]
+
+
+def _steps(d, mode):
+    """The generating edges of d's source and target leaves, as
+    check_bimodule tests them: steps[k][a*, a] weighs a move of a to a*
+    along axis k of the value array, bottom where there is no edge."""
+    src, tgt = _leaves(d.source), _leaves(d.target)
+    cells = len(d.source.objects) * len(d.target.objects)
+    gens = [_generators(c, mode, cells) for c in src + tgt]
+    steps = [g.T for g, _, _ in gens[: len(src)]] + [g for g, _, _ in gens[len(src) :]]
+    return steps, float_tol() / max(1, sum(n for _, n, _ in gens))
+
+
+def _failing_edges(d, mode):
+    """(axis, a, a*) for each generating edge along which some cell of d
+    breaks monotonicity, tested one edge at a time."""
+    steps, tol = _steps(d, mode)
+    alg = _fastpath._ALGEBRA[mode]
+    v = _fastpath.encode(d.quantale, mode, d.values).reshape([len(s) for s in steps])
+    out = []
+    for k, step in enumerate(steps):
+        for a_star, a in zip(*np.nonzero(step != alg.bottom)):
+            moved = alg.mult(step[a_star, a], np.take(v, a, axis=k))
+            if alg.above(moved, np.take(v, a_star, axis=k), tol).any():
+                out.append((k, int(a), int(a_star)))
+    return out
+
+
+def _one_edge_broken(d, rng, tries=60):
+    """d with one cell replaced so that exactly one generating edge fails,
+    or None when no such cell turned up."""
+    mode = _fastpath.mode_for(d.quantale, d.values)
+    for _ in range(tries):
+        e = _perturbed(d.quantale, d, rng)
+        if len(_failing_edges(e, mode)) == 1:
+            return e
+    return None
+
+
+def _chain_like(q, rng, n_min, n_max):
+    n = rng.randint(n_min, n_max)
+    if q.kind == "nat" and rng.random() < 0.5:
+        return nat_grid_category(sorted(rng.sample(range(40), n)), q)
+    return chain_category(q, [f"c{i}" for i in range(n)])
+
+
+def test_edge_check_names_the_loop_witness_on_chains_and_grids(rng, monkeypatch):
+    # 16-25 x 8-12 tables between tensors of chains (and nat grids): the
+    # 4-5 object leaves are searched and presented by their n - 1 adjacent
+    # edges.  Closed tables pass on the edges alone; a table where exactly
+    # one edge fails leaves the verdict to the dense kernel and loop.
+    dense_calls = _counting(monkeypatch, "bimodule_violation")
+    for name, mk in quantale_families().items():
+        q = mk()
+        mode = _fastpath.mode_for(q)
+        if mode is None:
+            continue
+        broken = 0
+        for _ in range(3):
+            a, b = _chain_like(q, rng, 4, 5), _chain_like(q, rng, 4, 5)
+            src = tensor(a, b)
+            tags = ["u", "v", "w"][: rng.randint(2, 3)]
+            tgt = tensor(_chain_like(q, rng, 4, 4), discrete_category(q, tags))
+            dense_calls.clear()
+            d = random_problem(src, tgt, rng)
+            assert dense_calls == [], name  # the edge test accepts closed tables
+            assert a._presentations[mode][1] == len(a.objects) - 1, name
+            e = _one_edge_broken(d, rng)
+            if e is not None:
+                broken += 1
+                want = check_bimodule(e, method="loop")
+                assert want is not None and check_bimodule(e) == want, name
+        assert broken, name
+
+
+def test_preorders_with_ties_take_the_trivial_presentation(rng):
+    # equivalent objects make every edge between them redundant through
+    # the other, so the search finds no presentation; each off-diagonal
+    # pair is then an edge of its own
+    q = bool_quantale()
+    for _ in range(10):
+        objs = [f"o{i}" for i in range(5)]
+        pairs = [("o0", "o1"), ("o1", "o0")]  # a tie
+        pairs += [(rng.choice(objs), rng.choice(objs)) for _ in range(4)]
+        c = from_order(q, objs, pairs)
+        tgt = chain_category(q, [f"t{i}" for i in range(24)])
+        raw = random_raw_problem(c, tgt, rng)
+        for d in (raw, DesignProblem(c, tgt, tuple(map(tuple, close_values(c, tgt, raw.values))))):
+            want = check_bimodule(d, method="loop")
+            assert check_bimodule(d) == want
+        g, longest, passes = c._presentations["bool"]  # searched, then rejected
+        assert longest == 1 and passes == 5
+        assert (g == _fastpath.encode(q, "bool", c.hom)).all()
+
+
+def test_edge_check_on_metrics_and_pushed_tensors(rng):
+    # random cost metrics, and a tensor pushed through sqrt, whose hom is
+    # not the tensor of its pushed factors: both are one leaf, checked on
+    # the presentation of their own hom
+    qc = cost_quantale()
+    phi = builtin_lax("sqrt_cost", qc, qc, degree=2)
+    verdicts = set()
+    for _ in range(12):
+        metric = random_category(qc, rng, 4, 4)
+        pushed = pushforward(
+            tensor(random_category(qc, rng, 2, 2), random_category(qc, rng, 2, 2)), phi
+        )
+        tgt = chain_category(qc, [f"t{i}" for i in range(16)])
+        for src, closed_over in ((metric, metric), (pushed, tensor(*pushed.factors))):
+            raw = [[qc.sample(rng) for _ in tgt.objects] for _ in src.objects]
+            d = DesignProblem(src, tgt, tuple(map(tuple, close_values(closed_over, tgt, raw))))
+            for e in (d, _perturbed(qc, d, rng)):
+                want = check_bimodule(e, method="loop")
+                assert check_bimodule(e) == want
+                verdicts.add(want is None)
+        assert "minplus" in metric._presentations and "minplus" in pushed._presentations
+    assert verdicts == {True, False}
+
+
+def test_a_large_leaf_skips_the_search(monkeypatch):
+    # 40 objects: the search would cost 40**2 * 7 passes of cells, more
+    # than a 120-cell table's dense check, so the trivial presentation
+    # runs, at 40 passes, and is not kept; a table large enough searches
+    # once.  Two trivial leaves take 40 + 40 passes, no fewer than the
+    # dense check of a 40 x 40 table, which then runs alone.
+    q = bool_quantale()
+    closures, edges = _counting(monkeypatch, "closure"), _counting(monkeypatch, "edges_hold")
+    dense = _counting(monkeypatch, "bimodule_violation")
+    c = chain_category(q, [f"c{i}" for i in range(40)])
+    searched = lambda: [g for _, g in closures if len(g) == 40]
+    small = build_problem(c, chain_category(q, ["a", "b", "c"]), [[True] * 3] * 40)
+    assert searched() == [] and len(edges) == 1 and dense == [] and c._presentations == {}
+    identity_problem(c)
+    assert len(edges) == 1 and len(dense) == 1
+    wide = chain_category(q, [f"w{i}" for i in range(400)])
+    build_problem(c, wide, [[True] * 400] * 40)
+    assert len(searched()) == 1 and c._presentations["bool"][1] == 39
+    assert check_bimodule(small) is None and len(searched()) == 1
+
+
+def test_float_edges_share_the_tolerance_along_a_path():
+    # costs creep up by 0.8 tol per step along both source chains: each
+    # edge is within tol, but the move from (0,0) to (3,3) takes six of
+    # them, 4.8 tol in all, so the edges are tested at a sixth of tol or
+    # less and the dense kernel names the loop's witness
+    q, tol = cost_quantale(), float_tol()
+    chain = lambda: chain_category(q, ["a", "b", "c", "d"])
+    src, tgt = tensor(chain(), chain()), chain()
+    steps = np.add.outer(np.arange(4), np.arange(4)).reshape(16, 1)
+    d = build_problem(src, tgt, 1.0 + 0.8 * tol * steps + np.zeros((1, 4)), validate=False)
+    want = check_bimodule(d, method="loop")
+    assert want is not None and check_bimodule(d) == want
 
 
 def _traceable(q, rng):
