@@ -1,7 +1,7 @@
 """Vectorized kernels for matrix-shaped checks and compositions.
 
-Each supported carrier maps onto a scalar algebra numpy can drive, its
-kernel mode:
+Each carrier maps onto a scalar algebra numpy can drive, its kernel mode.
+Six modes are numeric:
 
 - minplus: cost and nat (order reversed, multiplication is addition)
 - godel:   fuzz with the minimum t-norm, and pace via ranks
@@ -10,12 +10,18 @@ kernel mode:
 - bool:    boolean matrices
 - bits:    powersets up to 63 names, one bit per name
 
+Every other carrier is its own mode: its handle, whose row applies the
+handle's own mult, join and leq to object arrays of payloads.  Products,
+powersets of 64 names or more, nat tables holding a finite value of
+NAT_EXACT_BELOW or more, and handwritten handles run there, through the
+same kernels as the numeric modes.
+
 encode and decode translate payload tables to and from the mode's
 arrays; decode's payloads are already in normal form.  A problem or a
 tensor hom can be held as its array alone: the operators keep their
 kernel's output array, and its payloads are decoded only when read.
-as_array and outside take an array given as values: its mode, and the
-cells that encode no payload of the carrier.
+as_array and outside take an array given as values: its numeric mode,
+and the cells that encode no payload of the carrier.
 
 Everything else reads one row of _ALGEBRA per mode: the elementwise
 multiplication, the join as a ufunc whose reduce folds an axis, the
@@ -25,25 +31,22 @@ tol".  One matrix product, a broadcast per block of rows, serves every
 mode; series, both checks, the closure and trace are a few lines over
 that row.
 
-mode_for returns None, and callers fall back to generic element loops,
-for other carriers and for nat tables holding a finite value of
-NAT_EXACT_BELOW or more.  The check kernels return the first violating
-output cell in row-major order; callers resume their element loop there
-to name the witness with exact carrier operations.  outer_product gives
-the values of a tensor category or a parallel composite; callers take it
-for outputs of OUTER_MIN_CELLS or more.  Arrays of that many cells are
-decoded with decode_shared, one payload object per distinct value.
-hom_array reads a table through the per-mode memo of encoded arrays its
-category or problem keeps; an array-backed problem's memo holds its
-array from the start.
+The check kernels return the first violating output cell in row-major
+order; callers resume their element loop there to name the witness with
+exact carrier operations.  outer_product gives the values of a tensor
+category or a parallel composite.  Arrays of OUTER_MIN_CELLS or more
+are decoded with decode_shared, one payload object per distinct value.
+hom_array reads a hom through a category's per-mode memo of encoded
+arrays.
 
 A hom presented by a weighted graph is the join of the products along
 its paths, so a table monotone along every edge is monotone along every
 hom.  generators finds such a set of edges, or falls back to every
 pair, and edges_hold tests a table along the edges of each of its axes:
 (edges / objects) passes over the table per axis, against the (nr + nf)
-passes of bimodule_violation.  closure is also from_order's transitive
-closure.
+passes of bimodule_violation.  Both split tol over a path, so they run
+on numeric modes only: an object row's test is the handle's own leq.
+closure is also from_order's transitive closure.
 """
 
 from __future__ import annotations
@@ -57,10 +60,9 @@ import numpy as np
 _PACE_RANK = {"E": 0.0, "C": 1.0, "A": 2.0, "P": 3.0}
 _PACE_BY_RANK = ("E", "C", "A", "P")
 
-# Tensor and parallel outputs with fewer cells than this take the element
-# loop, which measured faster there: 10-20 us ahead at 2x2 factors (16
-# cells), while the array path is ~2x ahead at 3x3 (81 cells) and 7-9x
-# ahead at 5x5.
+# From this many cells on, decode_shared decodes each distinct value once
+# and the bimodule check tries the generating edges before the dense
+# kernel; smaller tables take the plain decode and the dense check alone.
 OUTER_MIN_CELLS = 64
 
 # nat runs on float64, exact for integers below 2**53.  The bimodule check
@@ -79,15 +81,34 @@ class _Algebra(NamedTuple):
     above: Callable  # above(x, y, tol): elementwise, x not below y
 
 
-def _luk(x, y):
-    return np.maximum(x + y - 1.0, 0.0)
+def _luk(x, y):  # as quantales.fuzz_quantale writes it, bit for bit
+    return np.maximum(x - (1.0 - y), 0.0)
 
 
 def _exceeds(x, y, tol):
     return x > y + tol
 
 
-_ALGEBRA = {
+class _Rows(dict):
+    """The numeric rows by mode name.  Any other mode is a Quantale handle,
+    whose object row is built from its own methods on first use and kept
+    on the handle, not here: `mode in _ALGEBRA` tells the numeric modes."""
+
+    def __missing__(self, q):
+        row = vars(q).get("_object_row")
+        if row is None:
+            not_leq = np.frompyfunc(lambda x, y: not q.leq(x, y), 2, 1)
+            row = vars(q)["_object_row"] = _Algebra(
+                np.frompyfunc(q.mult, 2, 1),
+                np.frompyfunc(lambda x, y: q.join((x, y)), 2, 1),
+                q.bottom,
+                object,
+                lambda x, y, tol: not_leq(x, y),  # the handle's leq has its own tol
+            )
+        return row
+
+
+_ALGEBRA = _Rows({
     "minplus": _Algebra(np.add, np.minimum, np.inf, float, lambda x, y, tol: x < y - tol),
     "godel": _Algebra(np.minimum, np.maximum, 0.0, float, _exceeds),
     "goguen": _Algebra(np.multiply, np.maximum, 0.0, float, _exceeds),
@@ -96,21 +117,23 @@ _ALGEBRA = {
     "bits": _Algebra(
         np.bitwise_and, np.bitwise_or, 0, np.uint64, lambda x, y, tol: (x & ~y) != 0
     ),
-}
+})
 
 
 def mode_for(q, *tables):
-    """Kernel mode for q, or None for the element loop.
+    """Kernel mode for q: the name of its numeric row, or else the handle
+    q, whose object row runs the same kernels.
 
     tables are the payload rows the caller is about to encode; only nat
-    looks at them.
+    looks at them, and a finite value of NAT_EXACT_BELOW or more, past
+    float64's exact range, sends them to the object row.
     """
     kind = q.kind
     if kind == "cost":
         return "minplus"
     if kind == "nat":
         values = (v for t in tables for row in t for v in row)
-        return "minplus" if all(v < NAT_EXACT_BELOW or v == math.inf for v in values) else None
+        return "minplus" if all(v < NAT_EXACT_BELOW or v == math.inf for v in values) else q
     if kind == "bool":
         return "bool"
     if kind == "pace":
@@ -121,10 +144,13 @@ def mode_for(q, *tables):
         ]
     if kind == "powerset" and len(q.params["base"]) <= 63:
         return "bits"
-    return None
+    return q
 
 
 def encode(q, mode, rows):
+    if mode not in _ALGEBRA:  # an object row holds the payloads themselves
+        n, m = len(rows), len(rows[0]) if rows else 0
+        return np.fromiter((v for row in rows for v in row), object, n * m).reshape(n, m)
     if mode == "bool":
         return np.array([[bool(v) for v in row] for row in rows], dtype=bool)
     if mode == "bits":
@@ -141,6 +167,8 @@ def encode(q, mode, rows):
 
 
 def decode(q, mode, arr):
+    if mode not in _ALGEBRA:
+        return arr.tolist()
     if mode == "bits":
         base = q.params["base"]
         sets = {  # one frozenset per distinct mask
@@ -158,7 +186,10 @@ def decode(q, mode, arr):
 def decode_shared(q, mode, arr):
     """decode(q, mode, arr), with every cell of one value holding one
     shared payload object: each distinct value is decoded once.  Floats
-    are told apart by their bits, so -0.0 keeps its sign."""
+    are told apart by their bits, so -0.0 keeps its sign.  An object
+    row's cells are payloads already, and are not ordered."""
+    if mode not in _ALGEBRA:
+        return decode(q, mode, arr)
     key = arr.view(np.uint64) if arr.dtype == float else arr
     keys, inverse = np.unique(key, return_inverse=True)
     values = keys.view(float) if arr.dtype == float else keys
@@ -169,7 +200,10 @@ def decode_shared(q, mode, arr):
 def outside(q, mode, arr):
     """Elementwise: the cell encodes no payload of q in mode.  cost is
     >= 0 or inf, nat also integral, fuzz in [0, 1], pace a rank 0-3, and
-    bits hold no bit past the base; NaN is outside every carrier."""
+    bits hold no bit past the base; NaN is outside every carrier.  An
+    object row's cell is outside when q does not contain it."""
+    if mode not in _ALGEBRA:
+        return np.frompyfunc(lambda v: not q.contains(v), 1, 1)(arr)
     if mode == "bool":
         return np.zeros(arr.shape, dtype=bool)
     if mode == "bits":
@@ -183,18 +217,17 @@ def outside(q, mode, arr):
 
 
 def as_array(q, table):
-    """(mode, array): table in the kernel mode of q when it is an ndarray
-    and q has a mode, cast to the mode's dtype; else (None, table)."""
-    mode = mode_for(q) if isinstance(table, np.ndarray) else None
-    if mode is None:
-        return None, table
-    return mode, table.astype(_ALGEBRA[mode].dtype, copy=False)
+    """(mode, array): table cast to the dtype of q's mode when it is an
+    ndarray and that mode is numeric; else None, for payload rows."""
+    mode = mode_for(q)
+    if isinstance(table, np.ndarray) and mode in _ALGEBRA:
+        return mode, table.astype(_ALGEBRA[mode].dtype, copy=False)
+    return None
 
 
 def hom_array(q, mode, hom, arrays=None):
     """encode(q, mode, hom), read from and kept in arrays, the per-mode memo
-    of the category or problem hom belongs to (QCategory._arrays,
-    DesignProblem._arrays)."""
+    of the category hom belongs to (QCategory._arrays)."""
     if arrays is None:
         return encode(q, mode, hom)
     if mode not in arrays:
@@ -315,8 +348,11 @@ def edges_hold(mode, v, steps, tol):
 def trace_values(mode, d4, m):
     """Feedback closure: join over (m, m') of d[(r,m),(f,m')] * M[m,m'].
 
-    d4 has axes (r, m, f, m'); M has axes (m, m').
+    d4 has axes (r, m, f, m'); M has axes (m, m').  The join runs along
+    one axis, (m, m') in loop order, since an object row's join reduces
+    one axis at a time.
     """
     alg = _ALGEBRA[mode]
-    terms = alg.mult(d4, m[None, :, None, :])
-    return alg.join.reduce(terms, axis=(1, 3), initial=alg.bottom)
+    nr, nm, nf, _ = d4.shape
+    terms = alg.mult(d4, m[None, :, None, :]).transpose(0, 2, 1, 3)
+    return alg.join.reduce(terms.reshape(nr, nf, nm * nm), axis=2, initial=alg.bottom)

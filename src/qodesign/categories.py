@@ -48,12 +48,8 @@ class QCategory:
         # only a tensor lacks its hom, until the first read builds it
         if name != "hom" or not self._tensor:
             raise AttributeError(name)
-        a, b = self.factors
-        table, mode = _outer_values(self.quantale, a.hom, b.hom, a._arrays, b._arrays)
-        if mode is not None:
-            self._arrays[mode] = table
-            table = _decode_rows(self.quantale, mode, table)
-        object.__setattr__(self, "hom", tuple(map(tuple, table)))
+        mode = _fastpath.mode_for(self.quantale, _guard_rows(self))
+        object.__setattr__(self, "hom", _decode_rows(self.quantale, mode, _hom_array(self, mode)))
         return self.hom
 
     def __repr__(self):
@@ -148,8 +144,8 @@ def check_category_axioms(
         if not q.leq(q.unit, hom[i][i]):
             return ("identity", objects[i])
     x0 = z0 = 0
-    mode = _fastpath.mode_for(q, hom) if method == "auto" else None
-    if mode is not None and n >= 2:
+    if method == "auto" and n >= 2:
+        mode = _fastpath.mode_for(q, hom)
         h = _fastpath.hom_array(q, mode, hom, arrays)
         cell = _fastpath.category_violation(mode, h, float_tol())
         if cell is None:
@@ -294,23 +290,10 @@ def pair_name(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-def _outer_values(q: Quantale, a, b, a_arrays=None, b_arrays=None):
-    """(table, mode): rows (i,k), columns (j,l) of a[i][j] * b[k][l], as
-    an array of kernel mode, or as payload rows and None after the element
-    loop.  a_arrays and b_arrays are the operands' memos when they are homs."""
-    cells = len(a) * len(b) * (len(a[0]) if a else 0) * (len(b[0]) if b else 0)
-    mode = _fastpath.mode_for(q, a, b)
-    if mode is not None and cells >= _fastpath.OUTER_MIN_CELLS:
-        a, b = _fastpath.hom_array(q, mode, a, a_arrays), _fastpath.hom_array(q, mode, b, b_arrays)
-        return _fastpath.outer_product(mode, a, b), mode
-    mult = q.mult
-    return [[mult(x, y) for x in ra for y in rb] for ra in a for rb in b], None
-
-
 def _decode_rows(q: Quantale, mode, arr) -> tuple:
     """arr's payloads as _normalize_table would return them: decode's are
-    normal already.  From OUTER_MIN_CELLS cells on, cells of one value
-    share one payload object."""
+    normal already.  From OUTER_MIN_CELLS cells on, cells of one numeric
+    value share one payload object; an object row's cells are payloads."""
     big = arr.size >= _fastpath.OUTER_MIN_CELLS
     return tuple(map(tuple, (_fastpath.decode_shared if big else _fastpath.decode)(q, mode, arr)))
 
@@ -320,42 +303,45 @@ def _leaves(cat: QCategory) -> tuple:
     return sum(map(_leaves, cat.factors), ()) if cat._tensor else (cat,)
 
 
-def _table(x):
-    """x's payload table, a category's hom or a problem's values, or None
-    while it is unbuilt: a tensor's hom, an array-backed problem's values."""
-    return x.__dict__.get("hom" if isinstance(x, QCategory) else "values")
-
-
 def _hom_array(x, mode):
-    """x's table (see _table) encoded for mode through x's memo; a tensor's
-    is the outer product of its factors' arrays, so its hom is not built."""
-    if isinstance(x, QCategory) and x._tensor and mode not in x._arrays:
-        a, b = x.factors
-        x._arrays[mode] = _fastpath.outer_product(mode, _hom_array(a, mode), _hom_array(b, mode))
-    return _fastpath.hom_array(x.quantale, mode, _table(x), x._arrays)
+    """x's table encoded for mode, kept in x's memo of arrays.  A tensor's
+    is the outer product of its factors' arrays, so its hom is not built;
+    a problem held as another mode's array is decoded first; a table with
+    no rows keeps its column count."""
+    if mode not in x._arrays:
+        if isinstance(x, QCategory) and x._tensor:
+            a, b = x.factors
+            arr = _fastpath.outer_product(mode, _hom_array(a, mode), _hom_array(b, mode))
+        else:
+            rows, cols = (x.hom, x) if isinstance(x, QCategory) else (x.values, x.target)
+            arr = _fastpath.encode(x.quantale, mode, rows).reshape(len(rows), len(cols.objects))
+        x._arrays[mode] = arr
+    return x._arrays[mode]
 
 
 def _guard_rows(x):
-    """x's table (see _table) as mode_for's nat range guard reads it,
-    without building it: one row with its largest finite value, for a
-    tensor the sum of its leaves' (inf absorbs).  Other carriers do not
-    read the rows."""
+    """x's table, a category's hom or a problem's values, as mode_for's
+    nat range guard reads it, without building it: one row with its
+    largest finite value, for a tensor the sum of its leaves' (inf
+    absorbs), for an array-backed problem its array's.  Other carriers
+    do not read the rows."""
     if x.quantale.kind != "nat":
         return ()
     if isinstance(x, QCategory) and x._tensor:
         finite = ([v for row in c.hom for v in row if v != math.inf] for c in _leaves(x))
         return ((sum(max(vs, default=math.inf) for vs in finite),),)
-    table = _table(x)
-    if table is None:  # array-backed: its one memo entry is the minplus array
-        arr = x._arrays["minplus"]
-        return ((arr[arr != math.inf].max(initial=0.0),),)
+    table = vars(x).get("hom" if isinstance(x, QCategory) else "values")
+    if table is None:  # array-backed: its memo holds one array
+        (arr,) = x._arrays.values()
+        return ((arr[arr != math.inf].max(initial=0),),)
     return table
 
 
 def _leaf_holds(c: QCategory, tol) -> bool:
     """c has a unit diagonal and passes the composition kernel within tol."""
     q, mode = c.quantale, _fastpath.mode_for(c.quantale, c.hom)
-    if mode is None or any(row[i] != q.unit for i, row in enumerate(c.hom)):
+    # an object row tests the handle's own leq, which cannot split tol
+    if mode not in _fastpath._ALGEBRA or any(row[i] != q.unit for i, row in enumerate(c.hom)):
         return False
     return _fastpath.category_violation(mode, _hom_array(c, mode), tol) is None
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from . import _fastpath
 from .categories import QCategory, _gate, _guard_rows, _hom_array, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
-from .problems import DesignProblem, _make_problem, _series_loop
+from .problems import DesignProblem, _array_problem, _make_problem
 from .quantales import Quantale, compatible, make_powerset
 from .values import float_tol
 
@@ -625,19 +625,15 @@ def hetero_series(
     q = phi1.target
     src = pushforward(d1.source, phi1, force=force, validate=validate)
     tgt = pushforward(d2.target, phi2, force=force, validate=validate)
-    ops = [d if phi.kind == "identity" else [[phi(v) for v in row] for row in d.values]
+    ops = [None if phi.kind == "identity" else [[phi(v) for v in row] for row in d.values]
            for d, phi in ((d1, phi1), (d2, phi2))]
-    held = [isinstance(x, DesignProblem) for x in ops]
-    mode = _fastpath.mode_for(q, *(_guard_rows(x) if h else x for x, h in zip(ops, held)))
-    n_out = len(d2.target.objects)
-    if mode is not None and len(d1.source.objects) and len(d2.source.objects) and n_out:
-        a, b = (_hom_array(x, mode) if h else _fastpath.encode(q, mode, x)
-                for x, h in zip(ops, held))
-        table = _fastpath.series_product(mode, a, b)
-    else:
-        a, b = (x.values if h else x for x, h in zip(ops, held))
-        table, mode = _series_loop(q, a, b, n_out), None
-    return _make_problem(q, src, tgt, table, "heterogeneous series output", validate, mode)
+    pairs = list(zip((d1, d2), ops))
+    mode = _fastpath.mode_for(q, *(_guard_rows(d) if x is None else x for d, x in pairs))
+    a, b = (_hom_array(d, mode) if x is None else
+            _fastpath.encode(q, mode, x).reshape(len(x), len(d.target.objects))
+            for d, x in pairs)
+    table = _fastpath.series_product(mode, a, b)
+    return _array_problem(q, src, tgt, mode, table, "heterogeneous series output", validate)
 
 
 def hetero_parallel(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _fastpath
-from .categories import QCategory, _normalize_table, _outer_values, tensor
+from .categories import QCategory, _normalize_table, tensor
 from .categories import _decode_rows, _generators, _guard_rows, _hom_array, _leaves
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
@@ -76,29 +76,28 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
     """First witness (r, r*, f, f*) violating the direct condition, or None.
 
     Witnesses are searched in (r*, f*, r, f) order.  method "loop" forces
-    the element-wise loop; "auto" first runs the vectorized kernel when
-    the carrier supports one, and the loop then starts at the kernel's
-    violating (r*, f*), so both methods name the same witness.
-    From OUTER_MIN_CELLS cells on, "auto" first tests the moves along the
-    generating edges of each leaf category of the source and target
-    (categories._generators; a category that is not a tensor is its own
-    leaf), where that is fewer passes over the table than the dense
-    kernel's nr + nf.  Every move chains such edges, so the table passes
-    when each edge does within tol over the sum of the leaves' longest
-    paths; a leaf without a presentation found has every pair as an
-    edge, of length 1, which is one full product per leaf.  A failing
-    edge leaves the verdict and the witness to the dense kernel and loop.
+    the element-wise loop; "auto" first runs the vectorized kernel, and
+    the loop then starts at the kernel's violating (r*, f*), so both
+    methods name the same witness.
+    From OUTER_MIN_CELLS cells on, on a numeric mode, "auto" first tests
+    the moves along the generating edges of each leaf category of the
+    source and target (categories._generators; a category that is not a
+    tensor is its own leaf), where that is fewer passes over the table
+    than the dense kernel's nr + nf.  Every move chains such edges, so the
+    table passes when each edge does within tol over the sum of the
+    leaves' longest paths; a leaf without a presentation found has every
+    pair as an edge, of length 1, which is one full product per leaf.  A
+    failing edge leaves the verdict and the witness to the dense kernel
+    and loop.
     """
     q = d.quantale
     nr, nf = len(d.source.objects), len(d.target.objects)
-    if nr == 0 or nf == 0:
-        return None
     rs0 = fs0 = 0
-    guard = (_guard_rows(d.source), _guard_rows(d.target), _guard_rows(d))
-    mode = _fastpath.mode_for(q, *guard) if method == "auto" else None
-    if mode is not None:
+    if method == "auto":
+        mode = _fastpath.mode_for(q, _guard_rows(d.source), _guard_rows(d.target), _guard_rows(d))
         v, tol = _hom_array(d, mode), float_tol()
-        if nr * nf >= _fastpath.OUTER_MIN_CELLS:
+        # an object row tests the handle's own leq, which cannot split tol
+        if nr * nf >= _fastpath.OUTER_MIN_CELLS and mode in _fastpath._ALGEBRA:
             src, tgt = _leaves(d.source), _leaves(d.target)
             g, longest, passes = zip(*(_generators(c, mode, nr * nf) for c in src + tgt))
             # a source leaf moves a to a* by hom(a, a*), a target leaf by hom(a*, a)
@@ -130,40 +129,43 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
     return None
 
 
-def _require_bimodule(d: DesignProblem, what: str):
-    """Raise ProblemError naming what and the witness if d is no bimodule."""
-    witness = check_bimodule(d)
+def _checked(d: DesignProblem, what: str, validate: bool = True) -> DesignProblem:
+    """d, after raising ProblemError naming what and the witness if
+    validate is set and d is no bimodule."""
+    witness = check_bimodule(d) if validate else None
     if witness is not None:
         r, rs, f, fs = witness
         raise ProblemError(
             f"{what} fails the bimodule condition: moving ({r!r}, {f!r}) "
             f"to ({rs!r}, {fs!r}) is not monotone"
         )
-
-
-def _make_problem(q, source, target, table, what, validate=True, mode=None):
-    """A problem over source and target, checked when validate is set.
-    table is payload rows, normalized into its values, or with mode an
-    array in that kernel mode, checked for membership and decoded on the
-    first read of values."""
-    rs, fs = source.objects, target.objects
-    if mode is None:
-        values = _normalize_table(q, rs, fs, table, ProblemError, noun="value row")
-        d = DesignProblem(source, target, values)
-    else:
-        if table.shape != (len(rs), len(fs)):
-            raise ProblemError(f"expected a {len(rs)}x{len(fs)} value array, got {table.shape}")
-        bad = _fastpath._first_true(_fastpath.outside(q, mode, table))
-        if bad is not None:  # the payload path's error for the first bad cell
-            i, j = bad
-            cell = [[table[i, j].item()]]
-            _normalize_table(q, rs[i : i + 1], fs[j : j + 1], cell, ProblemError, noun="value row")
-        d = DesignProblem(source, target, None)
-        object.__delattr__(d, "values")  # decoded by __getattr__ on first read
-        d._arrays[mode] = table
-    if validate:
-        _require_bimodule(d, what)
     return d
+
+
+def _make_problem(q, source, target, rows, what, validate=True):
+    """A problem over source and target with rows normalized into its
+    values, checked when validate is set."""
+    rs, fs = source.objects, target.objects
+    values = _normalize_table(q, rs, fs, rows, ProblemError, noun="value row")
+    return _checked(DesignProblem(source, target, values), what, validate)
+
+
+def _array_problem(q, source, target, mode, arr, what, validate=True):
+    """A problem held as arr, in kernel mode, checked for shape and
+    membership, and as a bimodule when validate is set.  Its values are
+    decoded on first read."""
+    rs, fs = source.objects, target.objects
+    if arr.shape != (len(rs), len(fs)):
+        raise ProblemError(f"expected a {len(rs)}x{len(fs)} value array, got {arr.shape}")
+    bad = _fastpath._first_true(_fastpath.outside(q, mode, arr))
+    if bad is not None:  # the payload path's error for the first bad cell
+        i, j = bad
+        cell = arr[i : i + 1, j : j + 1].tolist()
+        _normalize_table(q, rs[i : i + 1], fs[j : j + 1], cell, ProblemError, noun="value row")
+    d = DesignProblem(source, target, None)
+    object.__delattr__(d, "values")  # decoded by __getattr__ on first read
+    d._arrays[mode] = arr
+    return _checked(d, what, validate)
 
 
 def check_bimodule_via_hom(d: DesignProblem):
@@ -213,8 +215,10 @@ def build_problem(
             f"source over {source.quantale.name} but target over "
             f"{target.quantale.name}"
         )
-    mode, table = _fastpath.as_array(source.quantale, values)
-    return _make_problem(source.quantale, source, target, table, "problem", validate, mode)
+    q, arr = source.quantale, _fastpath.as_array(source.quantale, values)
+    if arr is None:
+        return _make_problem(q, source, target, values, "problem", validate)
+    return _array_problem(q, source, target, *arr, "problem", validate)
 
 
 def evaluate(d: DesignProblem, r: str, f: str) -> QValue:
@@ -236,10 +240,7 @@ def identity_problem(c: QCategory, validate: bool = True) -> DesignProblem:
     values = tuple(
         tuple(c.hom[f][r] for f in range(n)) for r in range(n)
     )
-    d = DesignProblem(c, c, values)
-    if validate:
-        _require_bimodule(d, "identity problem")
-    return d
+    return _checked(DesignProblem(c, c, values), "identity problem", validate)
 
 
 def _require_same_interface(a: QCategory, b: QCategory, what: str):
@@ -271,15 +272,6 @@ def _first_diff(xs, ys):
     return xs[len(ys):][:1] or ys[len(xs):][:1]
 
 
-def _series_loop(q: Quantale, a_rows, b_rows, n_out: int):
-    """Payload rows of join over mid of a[r][m] * b[m][f]: the element loop."""
-    n_mid = len(b_rows)
-    return [
-        [q.join(q.mult(row[m], b_rows[m][j]) for m in range(n_mid)) for j in range(n_out)]
-        for row in a_rows
-    ]
-
-
 def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> DesignProblem:
     """Sequential composition: join over the shared interface category.
 
@@ -291,12 +283,8 @@ def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Desig
     if not compatible(q, d2.quantale):
         raise CompositionError("series: problems over different quantales")
     mode = _fastpath.mode_for(q, _guard_rows(d1), _guard_rows(d2))
-    n_out = len(d2.target.objects)
-    if mode is not None and len(d1.source.objects) and len(d1.target.objects) and n_out:
-        table = _fastpath.series_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
-    else:
-        table, mode = _series_loop(q, d1.values, d2.values, n_out), None
-    return _make_problem(q, d1.source, d2.target, table, "series output", validate, mode)
+    table = _fastpath.series_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
+    return _array_problem(q, d1.source, d2.target, mode, table, "series output", validate)
 
 
 def series_breakdown(d1: DesignProblem, d2: DesignProblem, r: str, f: str):
@@ -324,11 +312,8 @@ def parallel(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Des
     src = tensor(d1.source, d2.source, validate=False)
     tgt = tensor(d1.target, d2.target, validate=False)
     mode = _fastpath.mode_for(q, _guard_rows(d1), _guard_rows(d2))
-    if mode is not None and len(src.objects) * len(tgt.objects) >= _fastpath.OUTER_MIN_CELLS:
-        table = _fastpath.outer_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
-    else:  # the element loop
-        table, mode = _outer_values(q, d1.values, d2.values)
-    return _make_problem(q, src, tgt, table, "parallel output", validate, mode)
+    table = _fastpath.outer_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
+    return _array_problem(q, src, tgt, mode, table, "parallel output", validate)
 
 
 def _trace_factors(d: DesignProblem, loop: QCategory):
@@ -354,23 +339,9 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
     q = d.quantale
     nr, nm, nf = len(r_cat.objects), len(loop.objects), len(f_cat.objects)
     mode = _fastpath.mode_for(q, _guard_rows(d), _guard_rows(loop))
-    if mode is not None and nr and nf:
-        d4 = _hom_array(d, mode).reshape(nr, nm, nf, nm)
-        table = _fastpath.trace_values(mode, d4, _hom_array(loop, mode))
-    else:
-        table = []
-        for r in range(nr):
-            row = []
-            for f in range(nf):
-                row.append(
-                    q.join(
-                        q.mult(d.values[r * nm + m][f * nm + mp], loop.hom[m][mp])
-                        for m in range(nm)
-                        for mp in range(nm)
-                    )
-                )
-            table.append(row)
-    return _make_problem(q, r_cat, f_cat, table, "trace output", validate, mode)
+    d4 = _hom_array(d, mode).reshape(nr, nm, nf, nm)
+    table = _fastpath.trace_values(mode, d4, _hom_array(loop, mode))
+    return _array_problem(q, r_cat, f_cat, mode, table, "trace output", validate)
 
 
 def pareto_front(d: DesignProblem, f: str):

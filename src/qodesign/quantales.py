@@ -318,7 +318,9 @@ def fuzz_quantale(tnorm: str, name: str = None) -> Quantale:
         mult = lambda p, q: p * q
         hom = lambda p, q: 1.0 if p <= q + tol else (q + tol) / p - tol
     else:
-        mult = lambda p, q: max(0.0, p + q - 1.0)
+        # p - (1 - q), not p + q - 1: it residuates exactly at tiny p, and
+        # _fastpath._luk writes it so, bit for bit
+        mult = lambda p, q: max(0.0, p - (1.0 - q))
         hom = lambda p, q: min(1.0, 1.0 - p + q)
     return Quantale(
         name=name or f"Fuzz[{tnorm}]",

@@ -9,7 +9,9 @@ which is exactly the condition the validators check.
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -46,10 +48,16 @@ def quantale_families():
 
 
 def wide_families():
-    """quantale_families() plus a 64-name powerset, one name past the
-    bitset kernel, so it runs the generic element loops."""
+    """quantale_families() plus carriers past the numeric encodings, which
+    run the kernels on object arrays with the handle's own operations: a
+    64-name powerset, one name past the bitset mode, and nat sampling
+    values at 2**53 and 2**63, past float64's exact integers."""
     fams = quantale_families()
     fams["powerset64"] = lambda: make_powerset([f"n{i}" for i in range(64)])
+    huge = (0, 1, 2, 5, 2**53, 2**53 + 1, 2**63, math.inf)
+    fams["nat_huge"] = lambda: replace(
+        nat_quantale("NatHuge"), _sample=lambda rng: rng.choice(huge)
+    )
     return fams
 
 

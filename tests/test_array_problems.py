@@ -9,6 +9,7 @@ import pytest
 from qodesign import (
     DesignProblem,
     ProblemError,
+    build_category,
     build_problem,
     builtin_lax,
     chain_category,
@@ -24,6 +25,7 @@ from qodesign import (
 )
 from qodesign import _fastpath
 from qodesign.categories import _normalize_table
+from qodesign.quantales import broken_clone
 from qodesign.lax import hetero_series
 
 from conftest import (
@@ -70,8 +72,11 @@ def test_array_built_values_decode_as_the_payload_path(rng, sizes):
         cr, cf = random_category(q, rng, lo, hi), random_category(q, rng, lo, hi)
         rows = random_problem(cr, cf, rng).values
         mode = _fastpath.mode_for(q, rows)
-        if mode is None:  # no array encoding: the payload path alone
-            assert name in ("product", "powerset64")
+        if mode not in _fastpath._ALGEBRA:  # an object row: payload rows alone
+            assert name in ("product", "powerset64") and mode is q
+            arr = _fastpath.encode(q, mode, rows)
+            assert arr.dtype == object and _fastpath.decode(q, mode, arr) == list(map(list, rows))
+            assert _fastpath.as_array(q, arr) is None
             continue
         arr = _with_edge_values(q, mode, _fastpath.encode(q, mode, rows))
         twin = build_problem(cr, cf, _decoded(q, cr, cf, mode, arr), validate=False)
@@ -99,14 +104,11 @@ def test_operator_outputs_decode_as_the_payload_path(rng):
             "parallel": parallel(d, e),
             "hetero_series": hetero_series(d, identity_problem(d.target), keep, keep),
         }
-        mode = _fastpath.mode_for(q, d.values, e.values)
         for op, out in outputs.items():
-            small = len(out.source.objects) * len(out.target.objects) < 64
-            if mode is None or (op == "parallel" and small):  # the element loop ran
-                assert "values" in vars(out), (name, op)
-                continue
-            assert "values" not in vars(out), (name, op)
-            (mode, arr), = out._arrays.items()
+            # the operator's array comes first; a check in another mode (huge
+            # nat categories run the object row) decodes the values to read them
+            (mode, arr), *others = out._arrays.items()
+            assert ("values" in vars(out)) == bool(others), (name, op)
             want = _decoded(q, out.source, out.target, mode, arr)
             twin = DesignProblem(out.source, out.target, want)
             assert hash(out) == hash(twin) and out == twin, (name, op)
@@ -122,7 +124,7 @@ def test_array_built_problem_checks_as_its_payload_twin(rng):
             cf = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
             twin = random_raw_problem(cr, cf, rng)
             mode = _fastpath.mode_for(q, twin.values)
-            if mode is None:
+            if mode not in _fastpath._ALGEBRA:  # only numeric arrays are values
                 continue
             arr = _fastpath.encode(q, mode, twin.values)
             a = build_problem(cr, cf, arr, validate=False)
@@ -142,8 +144,9 @@ def test_array_built_problem_checks_as_its_payload_twin(rng):
                 assert str(got.value) == want, name
 
 
-def test_array_backed_nat_past_the_exact_bound_takes_the_loop(monkeypatch):
-    c = nat_grid_category([0, 1, 2], nat_quantale())
+def test_array_backed_nat_past_the_exact_bound_runs_the_object_row(monkeypatch):
+    q = nat_quantale()
+    c = nat_grid_category([0, 1, 2], q)
     ident, kernels = identity_problem(c), []
     for name in ("bimodule_violation", "series_product", "edges_hold"):
         original = getattr(_fastpath, name)
@@ -152,11 +155,14 @@ def test_array_backed_nat_past_the_exact_bound_takes_the_loop(monkeypatch):
         )
     d = build_problem(c, c, np.full((3, 3), float(2**51)))  # constant: monotone
     out = series(d, ident)
-    assert kernels == [] and "values" in vars(out)
-    assert out.values == ((2**51,) * 3,) * 3
+    assert [a[0] for a in kernels] == [q] * 3  # d's check, series, out's check
+    assert all(arr.dtype == object for a in kernels for arr in a[1:3])
+    assert "values" not in vars(out) and list(out._arrays) == [q]
+    assert out.values == ((2**51,) * 3,) * 3 and type(out.values[0][0]) is int
+    kernels.clear()
     below = build_problem(c, c, np.full((3, 3), float(2**51 - 1)))
     assert "values" not in vars(series(below, ident))
-    assert kernels
+    assert kernels and all(a[0] == "minplus" for a in kernels)
 
 
 MEMBERSHIP_CASES = [
@@ -184,6 +190,18 @@ def test_array_membership_errors_match_the_payload_path(case):
         build_problem(cr, cf, rows, validate=False)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("entry ('r1', 'f0'): ")
+
+
+def test_object_row_outputs_are_checked_for_membership():
+    # a handwritten 64-name powerset whose mult adds a name off its base:
+    # its object-row series output fails as the payload path would
+    p64 = wide_families()["powerset64"]()
+    q = broken_clone(p64, name="Leaky", mult=lambda p, r: (p & r) | {"zz"})
+    c = build_category(q, ["x", "y"], [[q.unit, q.bottom], [q.bottom, q.unit]], validate=False)
+    d = build_problem(c, c, [[q.bottom, q.unit], [q.unit, q.bottom]], validate=False)
+    with pytest.raises(ProblemError) as got:
+        series(d, d, validate=False)
+    assert str(got.value).startswith("entry ('x', 'x'): ") and "Leaky" in str(got.value)
 
 
 def test_uav_stage_is_never_decoded():

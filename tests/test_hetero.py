@@ -99,17 +99,20 @@ def test_forced_pushforward_through_nonlax_map_names_it():
 
 
 def test_hetero_series_is_series_of_pushforwards(rng):
+    # the last six rounds give the source, the interface and then the
+    # target no objects, through the mapping and the identity map
     c, b = cost_quantale(), bool_quantale()
-    phi = builtin_lax("cost_to_bool_finite", c, b)
-    for _ in range(15):
-        ca = random_category(c, rng, 2, 4)
-        cm = random_category(c, rng, 2, 4)
-        cb = random_category(c, rng, 2, 4)
+    phi, keep = builtin_lax("cost_to_bool_finite", c, b), builtin_lax("identity", c, c)
+    for k in range(21):
+        empty = (k - 15) % 3 if k >= 15 else None
+        ca, cm, cb = (random_category(c, rng, *((0, 0) if i == empty else (2, 4)))
+                      for i in range(3))
         d1 = random_problem(ca, cm, rng)
         d2 = random_problem(cm, cb, rng)
-        got = hetero_series(d1, d2, phi, phi)
+        psi = keep if k >= 18 else phi
+        got = hetero_series(d1, d2, psi, psi)
         expected = series(
-            pushforward_problem(d1, phi), pushforward_problem(d2, phi)
+            pushforward_problem(d1, psi), pushforward_problem(d2, psi)
         )
         assert got.values == expected.values
         assert got.source.objects == expected.source.objects

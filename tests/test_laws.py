@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from qodesign import (
@@ -11,6 +12,7 @@ from qodesign import (
     make_powerset,
     nat_quantale,
 )
+from qodesign import _fastpath
 
 costs = st.one_of(
     st.just(math.inf),
@@ -68,8 +70,12 @@ def test_nat_laws(a, b, c):
 )
 # a * b = 1e-10 is below 0.0 within the tolerance, so b must be below [a, 0.0]
 @example(tnorm="goguen", a=1e-5, b=1e-5, c=0.0)
+# a + b - 1 rounds a * b to 1.0000000827e-9, not below c within the tolerance
+@example(tnorm="lukasiewicz", a=1e-9, b=1.0, c=2.4e-19)
 def test_fuzz_laws(tnorm, a, b, c):
     q = FUZZ[tnorm]
+    kernel_mult = _fastpath._ALGEBRA[_fastpath.mode_for(q)].mult
+    assert kernel_mult(np.float64(a), np.float64(b)) == q.mult(a, b)  # bit for bit
     assert q.leq(q.mult(a, b), a)  # integral: unit is top
     ab_c = q.mult(q.mult(a, b), c)
     a_bc = q.mult(a, q.mult(b, c))
