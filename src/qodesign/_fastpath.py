@@ -1,18 +1,26 @@
 """Vectorized kernels for matrix-shaped checks and compositions.
 
 Each carrier maps onto a scalar algebra numpy can drive, its kernel mode.
-Six modes are numeric:
+Seven modes are numeric:
 
 - minplus: cost and nat (order reversed, multiplication is addition)
 - godel:   fuzz with the minimum t-norm, and pace via ranks
 - goguen:  fuzz with the product t-norm
 - luk:     fuzz with the Lukasiewicz t-norm
 - bool:    boolean matrices
-- bits:    powersets up to 63 names, one bit per name
+- bits:    carriers with a bit layout of up to 63 bits, as uint64
+- wide:    carriers with a wider layout, as Python ints on object arrays
+
+A bit layout codes a finite distributive lattice whose multiplication is
+its meet as a powerset (Birkhoff): a powerset has one bit per base name,
+bool and pace are chains of 1 and 3 bits where rank r sets the r low
+bits, and a product puts its factors' layouts side by side, nested
+products flattened.  Join is then OR, multiplication AND, the order the
+subset order and bottom 0, all exact.  Each handle keeps its layout.
 
 Every other carrier is its own mode: its handle, whose row applies the
-handle's own mult, join and leq to object arrays of payloads.  Products,
-powersets of 64 names or more, nat tables holding a finite value of
+handle's own mult, join2 and leq to object arrays of payloads.  Products
+with a cost, nat or fuzz factor, nat tables holding a finite value of
 NAT_EXACT_BELOW or more, and handwritten handles run there, through the
 same kernels as the numeric modes.
 
@@ -81,6 +89,43 @@ class _Algebra(NamedTuple):
     above: Callable  # above(x, y, tol): elementwise, x not below y
 
 
+class _Layout(NamedTuple):
+    width: int  # bits used
+    chains: tuple  # (offset, width) of each chain field
+    code: Callable  # payload -> int
+    payload: Callable  # int -> payload, in normal form
+
+
+def _layout(q):
+    """q's bit layout, kept on the handle as its object row is, or None: a
+    carrier that is not bool, pace, a powerset or a product of those has
+    none.  A product's layout puts its factors' fields side by side."""
+    if "_layout" in vars(q):
+        return vars(q)["_layout"]
+    if q.kind in ("bool", "pace"):  # a chain: rank r sets the r low bits
+        ranks = (False, True) if q.kind == "bool" else _PACE_BY_RANK
+        codes = {v: (1 << r) - 1 for r, v in enumerate(ranks)}
+        payloads = {c: v for v, c in codes.items()}
+        chains = ((0, 3),) if q.kind == "pace" else ()  # one bit is always a prefix
+        layout = _Layout(len(ranks) - 1, chains, codes.__getitem__, payloads.__getitem__)
+    elif q.kind == "powerset":
+        base = q.params["base"]
+        index = {b: 1 << i for i, b in enumerate(base)}
+        payload = lambda c: frozenset(b for i, b in enumerate(base) if c >> i & 1)
+        layout = _Layout(len(base), (), lambda v: sum(index[e] for e in v), payload)
+    elif q.kind == "product" and None not in (parts := [_layout(f) for f in q.params["factors"]]):
+        offsets = (0, *itertools.accumulate(p.width for p in parts))
+        fields = [(p, o, (1 << p.width) - 1) for p, o in zip(parts, offsets)]
+        chains = tuple((o + co, cw) for p, o, _ in fields for co, cw in p.chains)
+        code = lambda v: sum(p.code(x) << o for (p, o, _), x in zip(fields, v))
+        payload = lambda c: tuple(p.payload(c >> o & m) for p, o, m in fields)
+        layout = _Layout(offsets[-1], chains, code, payload)
+    else:
+        layout = None
+    vars(q)["_layout"] = layout
+    return layout
+
+
 def _luk(x, y):  # as quantales.fuzz_quantale writes it, bit for bit
     return np.maximum(x - (1.0 - y), 0.0)
 
@@ -100,7 +145,7 @@ class _Rows(dict):
             not_leq = np.frompyfunc(lambda x, y: not q.leq(x, y), 2, 1)
             row = vars(q)["_object_row"] = _Algebra(
                 np.frompyfunc(q.mult, 2, 1),
-                np.frompyfunc(lambda x, y: q.join((x, y)), 2, 1),
+                np.frompyfunc(q.join2, 2, 1),
                 q.bottom,
                 object,
                 lambda x, y, tol: not_leq(x, y),  # the handle's leq has its own tol
@@ -118,15 +163,20 @@ _ALGEBRA = _Rows({
         np.bitwise_and, np.bitwise_or, 0, np.uint64, lambda x, y, tol: (x & ~y) != 0
     ),
 })
+_ALGEBRA["wide"] = _ALGEBRA["bits"]._replace(dtype=object)  # the same ufuncs on Python ints
 
 
 def mode_for(q, *tables):
     """Kernel mode for q: the name of its numeric row, or else the handle
     q, whose object row runs the same kernels.
 
-    tables are the payload rows the caller is about to encode; only nat
-    looks at them, and a finite value of NAT_EXACT_BELOW or more, past
-    float64's exact range, sends them to the object row.
+    The mode follows the kind: bool, pace, cost and fuzz have one each; a
+    powerset or a product with a bit layout (see _layout) runs bits up to
+    63 bits and wide past that; a product without one, and any other
+    kind, runs its object row.  tables are the payload rows the caller is
+    about to encode; only nat looks at them, and a finite value of
+    NAT_EXACT_BELOW or more, past float64's exact range, sends them to
+    the object row.
     """
     kind = q.kind
     if kind == "cost":
@@ -142,9 +192,8 @@ def mode_for(q, *tables):
         return {"godel": "godel", "goguen": "goguen", "lukasiewicz": "luk"}[
             q.params["tnorm"]
         ]
-    if kind == "powerset" and len(q.params["base"]) <= 63:
-        return "bits"
-    return q
+    layout = _layout(q)  # a powerset's or a product's, if it has one
+    return q if layout is None else "bits" if layout.width <= 63 else "wide"
 
 
 def encode(q, mode, rows):
@@ -153,13 +202,12 @@ def encode(q, mode, rows):
         return np.fromiter((v for row in rows for v in row), object, n * m).reshape(n, m)
     if mode == "bool":
         return np.array([[bool(v) for v in row] for row in rows], dtype=bool)
-    if mode == "bits":
-        index = {name: i for i, name in enumerate(q.params["base"])}
-        # one mask per distinct payload; frozenset() of a frozenset is the
-        # object itself, whose hash is cached
-        flat = [frozenset(v) for row in rows for v in row]
-        masks = {v: sum(1 << index[e] for e in v) for v in set(flat)}
-        out = np.array([masks[v] for v in flat], dtype=np.uint64)
+    if mode in ("bits", "wide"):
+        code, cells = _layout(q).code, itertools.chain.from_iterable(rows)
+        # one code per distinct payload (frozenset() of a frozenset is itself)
+        flat = list(map(frozenset, cells) if q.kind == "powerset" else cells)
+        codes = {v: code(v) for v in set(flat)}
+        out = np.fromiter(map(codes.__getitem__, flat), _ALGEBRA[mode].dtype, len(flat))
         return out.reshape(len(rows), len(rows[0]) if rows else 0)
     if q.kind == "pace":
         return np.array([[_PACE_RANK[v] for v in row] for row in rows], dtype=float)
@@ -169,13 +217,10 @@ def encode(q, mode, rows):
 def decode(q, mode, arr):
     if mode not in _ALGEBRA:
         return arr.tolist()
-    if mode == "bits":
-        base = q.params["base"]
-        sets = {  # one frozenset per distinct mask
-            m: frozenset(b for i, b in enumerate(base) if m >> i & 1)
-            for m in set(arr.ravel().tolist())
-        }
-        return [[sets[m] for m in row] for row in arr.tolist()]
+    if mode in ("bits", "wide"):
+        payload = _layout(q).payload
+        payloads = {c: payload(c) for c in set(arr.ravel().tolist())}  # one per distinct code
+        return [[payloads[c] for c in row] for row in arr.tolist()]
     if q.kind == "pace":
         return [[_PACE_BY_RANK[int(v)] for v in row] for row in arr.tolist()]
     if q.kind == "nat":
@@ -193,21 +238,27 @@ def decode_shared(q, mode, arr):
     key = arr.view(np.uint64) if arr.dtype == float else arr
     keys, inverse = np.unique(key, return_inverse=True)
     values = keys.view(float) if arr.dtype == float else keys
-    payloads = np.array(decode(q, mode, values[None, :])[0], dtype=object)
+    payloads = np.empty(len(keys), object)  # np.array would split product tuples
+    payloads[:] = decode(q, mode, values[None, :])[0]
     return payloads[inverse.reshape(arr.shape)].tolist()
 
 
 def outside(q, mode, arr):
     """Elementwise: the cell encodes no payload of q in mode.  cost is
-    >= 0 or inf, nat also integral, fuzz in [0, 1], pace a rank 0-3, and
-    bits hold no bit past the base; NaN is outside every carrier.  An
-    object row's cell is outside when q does not contain it."""
+    >= 0 or inf, nat also integral, fuzz in [0, 1], pace a rank 0-3; a
+    bit layout's code has no bit past the layout and each chain field a
+    prefix of bits.  NaN is outside every carrier.  An object row's cell
+    is outside when q does not contain it."""
     if mode not in _ALGEBRA:
         return np.frompyfunc(lambda v: not q.contains(v), 1, 1)(arr)
     if mode == "bool":
         return np.zeros(arr.shape, dtype=bool)
-    if mode == "bits":
-        return (arr >> np.uint64(len(q.params["base"]))) != 0
+    if mode in ("bits", "wide"):
+        bad = (arr >> _layout(q).width) != 0
+        for offset, width in _layout(q).chains:
+            f = arr >> offset & (1 << width) - 1
+            bad |= (f & f + 1) != 0
+        return bad
     inside = arr >= 0
     if q.kind in ("fuzz", "pace"):
         inside &= arr <= (1.0 if q.kind == "fuzz" else 3.0)
@@ -218,9 +269,11 @@ def outside(q, mode, arr):
 
 def as_array(q, table):
     """(mode, array): table cast to the dtype of q's mode when it is an
-    ndarray and that mode is numeric; else None, for payload rows."""
+    ndarray and that mode is numeric but for products and wide; else
+    None, for payload rows."""
     mode = mode_for(q)
-    if isinstance(table, np.ndarray) and mode in _ALGEBRA:
+    numeric = mode in _ALGEBRA and mode != "wide" and q.kind != "product"
+    if isinstance(table, np.ndarray) and numeric:
         return mode, table.astype(_ALGEBRA[mode].dtype, copy=False)
     return None
 

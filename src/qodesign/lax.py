@@ -628,7 +628,8 @@ def hetero_series(
     ops = [None if phi.kind == "identity" else [[phi(v) for v in row] for row in d.values]
            for d, phi in ((d1, phi1), (d2, phi2))]
     pairs = list(zip((d1, d2), ops))
-    mode = _fastpath.mode_for(q, *(_guard_rows(d) if x is None else x for d, x in pairs))
+    guards = (_guard_rows(d) if x is None else x for d, x in pairs)
+    mode = _fastpath.mode_for(q, _guard_rows(src), _guard_rows(tgt), *guards)  # as the check's
     a, b = (_hom_array(d, mode) if x is None else
             _fastpath.encode(q, mode, x).reshape(len(x), len(d.target.objects))
             for d, x in pairs)

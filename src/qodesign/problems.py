@@ -94,7 +94,7 @@ def check_bimodule(d: DesignProblem, method: str = "auto"):
     nr, nf = len(d.source.objects), len(d.target.objects)
     rs0 = fs0 = 0
     if method == "auto":
-        mode = _fastpath.mode_for(q, _guard_rows(d.source), _guard_rows(d.target), _guard_rows(d))
+        mode = _fastpath.mode_for(q, *map(_guard_rows, (d.source, d.target, d)))
         v, tol = _hom_array(d, mode), float_tol()
         # an object row tests the handle's own leq, which cannot split tol
         if nr * nf >= _fastpath.OUTER_MIN_CELLS and mode in _fastpath._ALGEBRA:
@@ -282,7 +282,7 @@ def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Desig
     q = d1.quantale
     if not compatible(q, d2.quantale):
         raise CompositionError("series: problems over different quantales")
-    mode = _fastpath.mode_for(q, _guard_rows(d1), _guard_rows(d2))
+    mode = _fastpath.mode_for(q, *map(_guard_rows, (d1.source, d2.target, d1, d2)))
     table = _fastpath.series_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
     return _array_problem(q, d1.source, d2.target, mode, table, "series output", validate)
 
@@ -311,7 +311,7 @@ def parallel(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Des
         raise CompositionError("parallel: problems over different quantales")
     src = tensor(d1.source, d2.source, validate=False)
     tgt = tensor(d1.target, d2.target, validate=False)
-    mode = _fastpath.mode_for(q, _guard_rows(d1), _guard_rows(d2))
+    mode = _fastpath.mode_for(q, *map(_guard_rows, (src, tgt, d1, d2)))
     table = _fastpath.outer_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
     return _array_problem(q, src, tgt, mode, table, "parallel output", validate)
 
@@ -338,7 +338,7 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
     r_cat, f_cat = _trace_factors(d, loop)
     q = d.quantale
     nr, nm, nf = len(r_cat.objects), len(loop.objects), len(f_cat.objects)
-    mode = _fastpath.mode_for(q, _guard_rows(d), _guard_rows(loop))
+    mode = _fastpath.mode_for(q, *map(_guard_rows, (r_cat, f_cat, d, loop)))
     d4 = _hom_array(d, mode).reshape(nr, nm, nf, nm)
     table = _fastpath.trace_values(mode, d4, _hom_array(loop, mode))
     return _array_problem(q, r_cat, f_cat, mode, table, "trace output", validate)

@@ -127,6 +127,10 @@ class Quantale:
             out = self._join2(out, v)
         return out
 
+    def join2(self, p, q):
+        """Join of two values: join((p, q)) with one binary join, not two."""
+        return self._join2(p, q)
+
     def hom(self, p, q):
         """Internal hom [p, q]: the largest r with p * r below q."""
         if self._hom is not None:

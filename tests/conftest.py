@@ -48,12 +48,15 @@ def quantale_families():
 
 
 def wide_families():
-    """quantale_families() plus carriers past the numeric encodings, which
-    run the kernels on object arrays with the handle's own operations: a
-    64-name powerset, one name past the bitset mode, and nat sampling
-    values at 2**53 and 2**63, past float64's exact integers."""
+    """quantale_families() plus carriers past the uint64 and float64
+    encodings: a 64-name powerset, one bit past the bits mode, which runs
+    the wide mode's Python ints; and, on object arrays with the handle's
+    own operations, a bool x cost product, which has no bit layout, and
+    nat sampling values at 2**53 and 2**63, past float64's exact
+    integers."""
     fams = quantale_families()
     fams["powerset64"] = lambda: make_powerset([f"n{i}" for i in range(64)])
+    fams["product_cost"] = lambda: make_product((bool_quantale(), cost_quantale()), name="BxC")
     huge = (0, 1, 2, 5, 2**53, 2**53 + 1, 2**63, math.inf)
     fams["nat_huge"] = lambda: replace(
         nat_quantale("NatHuge"), _sample=lambda rng: rng.choice(huge)

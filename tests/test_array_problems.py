@@ -72,13 +72,19 @@ def test_array_built_values_decode_as_the_payload_path(rng, sizes):
         cr, cf = random_category(q, rng, lo, hi), random_category(q, rng, lo, hi)
         rows = random_problem(cr, cf, rng).values
         mode = _fastpath.mode_for(q, rows)
-        if mode not in _fastpath._ALGEBRA:  # an object row: payload rows alone
-            assert name in ("product", "powerset64") and mode is q
-            arr = _fastpath.encode(q, mode, rows)
-            assert arr.dtype == object and _fastpath.decode(q, mode, arr) == list(map(list, rows))
-            assert _fastpath.as_array(q, arr) is None
+        arr = _fastpath.encode(q, mode, rows)
+        want = {"product": ("bits", np.uint64), "powerset64": ("wide", object)}
+        if name in want or mode not in _fastpath._ALGEBRA:
+            # payload rows alone build these: products, wide and object rows
+            assert (mode, arr.dtype) == want.get(name, (q, object)), name
+            assert name in want or name in ("product_cost", "nat_huge"), name
+            _exactly(_fastpath.decode(q, mode, arr), rows)
+            if name in want:  # an array of codes is no payload rows
+                assert _fastpath.as_array(q, arr) is None
+                with pytest.raises(ProblemError):
+                    build_problem(cr, cf, arr, validate=False)
             continue
-        arr = _with_edge_values(q, mode, _fastpath.encode(q, mode, rows))
+        arr = _with_edge_values(q, mode, arr)
         twin = build_problem(cr, cf, _decoded(q, cr, cf, mode, arr), validate=False)
         a = build_problem(cr, cf, arr, validate=False)
         assert "values" not in vars(a), name
@@ -105,10 +111,10 @@ def test_operator_outputs_decode_as_the_payload_path(rng):
             "hetero_series": hetero_series(d, identity_problem(d.target), keep, keep),
         }
         for op, out in outputs.items():
-            # the operator's array comes first; a check in another mode (huge
-            # nat categories run the object row) decodes the values to read them
-            (mode, arr), *others = out._arrays.items()
-            assert ("values" in vars(out)) == bool(others), (name, op)
+            # the operator and its check ran in one mode: nothing was decoded,
+            # not even where huge nat categories send both to the object row
+            (mode, arr), = out._arrays.items()
+            assert "values" not in vars(out), (name, op)
             want = _decoded(q, out.source, out.target, mode, arr)
             twin = DesignProblem(out.source, out.target, want)
             assert hash(out) == hash(twin) and out == twin, (name, op)
@@ -123,10 +129,9 @@ def test_array_built_problem_checks_as_its_payload_twin(rng):
             cr = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
             cf = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
             twin = random_raw_problem(cr, cf, rng)
-            mode = _fastpath.mode_for(q, twin.values)
-            if mode not in _fastpath._ALGEBRA:  # only numeric arrays are values
+            arr = _fastpath.encode(q, _fastpath.mode_for(q, twin.values), twin.values)
+            if _fastpath.as_array(q, arr) is None:  # a product's array is no values
                 continue
-            arr = _fastpath.encode(q, mode, twin.values)
             a = build_problem(cr, cf, arr, validate=False)
             assert check_bimodule(a) == check_bimodule(twin), name
             if check_bimodule(twin) is None:  # only a witness reads the values
@@ -193,15 +198,20 @@ def test_array_membership_errors_match_the_payload_path(case):
 
 
 def test_object_row_outputs_are_checked_for_membership():
-    # a handwritten 64-name powerset whose mult adds a name off its base:
+    # a handwritten bool x cost product whose join adds a third component:
     # its object-row series output fails as the payload path would
-    p64 = wide_families()["powerset64"]()
-    q = broken_clone(p64, name="Leaky", mult=lambda p, r: (p & r) | {"zz"})
+    bxc = wide_families()["product_cost"]()
+    leak = lambda p, r: (p[0] or r[0], min(p[1], r[1]), "zz")
+    q = broken_clone(bxc, name="Leaky", join2=leak)
+    assert _fastpath.mode_for(q) is q
     c = build_category(q, ["x", "y"], [[q.unit, q.bottom], [q.bottom, q.unit]], validate=False)
     d = build_problem(c, c, [[q.bottom, q.unit], [q.unit, q.bottom]], validate=False)
     with pytest.raises(ProblemError) as got:
         series(d, d, validate=False)
     assert str(got.value).startswith("entry ('x', 'x'): ") and "Leaky" in str(got.value)
+    with pytest.raises(ProblemError) as want:
+        build_problem(c, c, [[(True, 0.0, "zz")] * 2] * 2, validate=False)
+    assert str(got.value) == str(want.value)
 
 
 def test_uav_stage_is_never_decoded():

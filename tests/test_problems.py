@@ -48,6 +48,7 @@ from conftest import (
 )
 from qodesign import _fastpath
 from qodesign.categories import _generators, _leaves
+from qodesign.quantales import broken_clone
 from qodesign.values import float_tol
 
 
@@ -229,6 +230,19 @@ def test_nat_kernel_bound():
     assert _fastpath.mode_for(cost_quantale(), [[2.0**60]]) == "minplus"
 
 
+def test_object_row_joins_two_values_in_one_call():
+    # each cell of a 2x2 series over a 2-object interface folds two terms
+    # onto bottom: two binary joins, where join((x, y)) made four
+    bxc, calls = wide_families()["product_cost"](), []
+    q = broken_clone(bxc, join2=lambda p, r: calls.append((p, r)) or bxc._join2(p, r))
+    c = discrete_category(q, ["x", "y"])
+    d = build_problem(c, c, [[q.unit, q.bottom], [q.bottom, q.unit]], validate=False)
+    calls.clear()
+    out = series(d, d, validate=False)
+    assert _fastpath.mode_for(q) is q and len(calls) == 8
+    assert out.values == d.values
+
+
 def test_series_of_huge_nats_is_exact():
     q = nat_quantale()
     one = discrete_category(q, ["x"])
@@ -311,14 +325,20 @@ def _perturbed(q, d, rng):
     return DesignProblem(d.source, d.target, tuple(map(tuple, rows)))
 
 
+def _with_object_row():
+    """quantale_families() and the bool x cost product, whose object row
+    keeps a product on the dense kernel."""
+    return dict(quantale_families(), product_cost=wide_families()["product_cost"])
+
+
 def test_tensor_bimodule_check_names_the_loop_witness(rng, monkeypatch):
     # 9 x 8-12 objects, so 72-108 cells; the target nests a tensor in a
     # tensor.  Closed tables pass the edge-by-edge test; a perturbed cell
-    # usually fails it and falls through to the dense kernel.  The product
-    # carrier's object row has no edge test and runs the dense kernel.
+    # usually fails it and falls through to the dense kernel.  The bool x
+    # cost product's object row has no edge test and runs the dense kernel.
     leaf_calls = _counting(monkeypatch, "edges_hold")
     dense_calls = _counting(monkeypatch, "bimodule_violation")
-    for name, mk in quantale_families().items():
+    for name, mk in _with_object_row().items():
         q = mk()
         numeric = _fastpath.mode_for(q) in _fastpath._ALGEBRA
         for _ in range(3):
@@ -431,9 +451,9 @@ def test_edge_check_names_the_loop_witness_on_chains_and_grids(rng, monkeypatch)
     # 4-5 object leaves are searched and presented by their n - 1 adjacent
     # edges.  Closed tables pass on the edges alone; a table where exactly
     # one edge fails leaves the verdict to the dense kernel and loop.  The
-    # product carrier's object row has no edge test: the dense kernel runs.
+    # bool x cost product's object row has no edge test: the dense kernel runs.
     dense_calls = _counting(monkeypatch, "bimodule_violation")
-    for name, mk in quantale_families().items():
+    for name, mk in _with_object_row().items():
         q = mk()
         mode = _fastpath.mode_for(q)
         broken = 0
@@ -445,7 +465,7 @@ def test_edge_check_names_the_loop_witness_on_chains_and_grids(rng, monkeypatch)
             dense_calls.clear()
             d = random_problem(src, tgt, rng)
             if mode not in _fastpath._ALGEBRA:
-                assert name == "product" and [args[0] for args in dense_calls] == [q]
+                assert name == "product_cost" and [args[0] for args in dense_calls] == [q]
                 assert a._presentations == {}
                 e = _perturbed(q, d, rng)
                 assert check_bimodule(e) == check_bimodule(e, method="loop"), name
@@ -457,7 +477,7 @@ def test_edge_check_names_the_loop_witness_on_chains_and_grids(rng, monkeypatch)
                 broken += 1
                 want = check_bimodule(e, method="loop")
                 assert want is not None and check_bimodule(e) == want, name
-        assert broken or name == "product", name
+        assert broken or name == "product_cost", name
 
 
 def test_preorders_with_ties_take_the_trivial_presentation(rng):
