@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from . import _fastpath
 from .errors import CategoryError, CompositionError, LaxityError, QuantaleError
 from .quantales import Quantale, compatible
-from .values import QValue, float_tol
+from .values import float_tol
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,6 @@ class QCategory:
 
     def hom_payload(self, x: str, y: str):
         return self.hom[self.index(x)][self.index(y)]
-
-    def hom_value(self, x: str, y: str) -> QValue:
-        return QValue(self.quantale.name, self.hom_payload(x, y))
 
     def leq_objects(self, x: str, y: str) -> bool:
         """x precedes y: the hom from x to y carries the full unit."""
@@ -127,40 +124,32 @@ def _normalize_table(
     return tuple(out)
 
 
-def check_category_axioms(
-    q: Quantale, objects, hom, method: str = "auto", arrays: dict = None
-):
+def check_category_axioms(q: Quantale, objects, hom, arrays: dict = None):
     """Return None when both axioms hold, else a witness description.
 
     The witness is ("identity", x) or ("composition", x, y, z) with object
-    names, the first in (x, z, y) order.  method "loop" forces the
-    element-wise triple loop; "auto" first runs the vectorized kernel when
-    the carrier supports one, and the loop then starts at the kernel's
-    violating (x, z), so both methods name the same witness.  arrays is
-    the per-mode memo of encoded homs of the category hom belongs to.
+    names, the first in (x, z, y) order.  The composition kernel finds
+    the first violating (x, z); one vector pass over the paths through
+    each y names the first y there, with the kernel's own products.
+    arrays is the per-mode memo of encoded homs of the category hom
+    belongs to.
     """
     n = len(objects)
     for i in range(n):
         if not q.leq(q.unit, hom[i][i]):
             return ("identity", objects[i])
-    x0 = z0 = 0
-    if method == "auto" and n >= 2:
-        mode = _fastpath.mode_for(q, hom)
-        h = _fastpath.hom_array(q, mode, hom, arrays)
-        cell = _fastpath.category_violation(mode, h, float_tol())
-        if cell is None:
-            return None
-        x0, z0 = cell
-    mult, leq = q.mult, q.leq
-    cols = tuple(zip(*hom))
-    for x in range(x0, n):
-        row = hom[x]
-        for z in range(z0 if x == x0 else 0, n):
-            bound, col = row[z], cols[z]
-            for y in range(n):
-                if not leq(mult(row[y], col[y]), bound):
-                    return ("composition", objects[x], objects[y], objects[z])
-    return None
+    if n == 0:
+        return None
+    mode, tol = _fastpath.mode_for(q, hom), float_tol()
+    h = _fastpath.hom_array(q, mode, hom, arrays)
+    cell = _fastpath.category_violation(mode, h, tol)
+    if cell is None:
+        return None
+    x, z = cell
+    alg = _fastpath._ALGEBRA[mode]
+    # the bound as a slice, so that an object row keeps a tuple payload whole
+    (y,) = _fastpath._first_true(alg.above(alg.mult(h[x], h[:, z]), h[x, z : z + 1], tol))
+    return ("composition", objects[x], objects[y], objects[z])
 
 
 def _validate(cat: QCategory, context: str = ""):
@@ -317,6 +306,21 @@ def _hom_array(x, mode):
             arr = _fastpath.encode(x.quantale, mode, rows).reshape(len(rows), len(cols.objects))
         x._arrays[mode] = arr
     return x._arrays[mode]
+
+
+def _hom_line(cat: QCategory, mode, i, column=False):
+    """Row i of cat's hom, or column i, encoded for mode.  A tensor's is
+    the outer product of its factors' lines, nested as _hom_array nests
+    them, so the same values come out and the tensor's hom is not built."""
+    if not cat._tensor:
+        h = _hom_array(cat, mode)
+        return h[:, i] if column else h[i]
+    a, b = cat.factors
+    ia, ib = divmod(i, len(b.objects))
+    outer = _fastpath._ALGEBRA[mode].mult(
+        _hom_line(a, mode, ia, column)[:, None], _hom_line(b, mode, ib, column)[None, :]
+    )
+    return outer.ravel()
 
 
 def _guard_rows(x):

@@ -318,10 +318,6 @@ class _Parser:
         t = self.peek()
         return t.kind == "punct" and t.text == ch
 
-    def at_word(self, w: str) -> bool:
-        t = self.peek()
-        return t.kind == "word" and t.text == w
-
     def objref(self) -> str:
         t = self.next()
         if t.kind not in ("word", "string"):

@@ -29,12 +29,15 @@ operators on arrays decodes nothing but what is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import _fastpath
 from .categories import QCategory, _normalize_table, tensor
-from .categories import _decode_rows, _generators, _guard_rows, _hom_array, _leaves
+from .categories import _decode_rows, _generators, _guard_rows, _hom_array, _hom_line, _leaves
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
 from .values import QValue, float_tol
@@ -72,60 +75,60 @@ class DesignProblem:
         return self.values[self.source.index(r)][self.target.index(f)]
 
 
-def check_bimodule(d: DesignProblem, method: str = "auto"):
+def check_bimodule(d: DesignProblem):
     """First witness (r, r*, f, f*) violating the direct condition, or None.
 
-    Witnesses are searched in (r*, f*, r, f) order.  method "loop" forces
-    the element-wise loop; "auto" first runs the vectorized kernel, and
-    the loop then starts at the kernel's violating (r*, f*), so both
-    methods name the same witness.
-    From OUTER_MIN_CELLS cells on, on a numeric mode, "auto" first tests
-    the moves along the generating edges of each leaf category of the
-    source and target (categories._generators; a category that is not a
-    tensor is its own leaf), where that is fewer passes over the table
-    than the dense kernel's nr + nf.  Every move chains such edges, so the
-    table passes when each edge does within tol over the sum of the
+    Witnesses are searched in (r*, f*, r, f) order.  A move of a cell is a
+    move along each leaf category of the source and the target in turn
+    (categories._leaves; a category that is not a tensor is its own leaf).
+    From OUTER_MIN_CELLS cells on, on a numeric mode, the check first tests
+    the moves along the generating edges of each leaf (_generators), where
+    that is fewer passes over the table than the nr + nf of the full homs.
+    The table passes when each edge holds within tol over the sum of the
     leaves' longest paths; a leaf without a presentation found has every
-    pair as an edge, of length 1, which is one full product per leaf.  A
-    failing edge leaves the verdict and the witness to the dense kernel
-    and loop.
+    pair as an edge, of length 1, which is one full product per leaf.
+    Otherwise _fastpath.moved joins the moves along each leaf's full hom,
+    so no tensor's hom is built; smaller tables and object rows move along
+    the whole source and target.  Each cell it flags, in row-major order,
+    is an (r*, f*): one vector pass over the terms hom_F(f*, f) * d(r, f) *
+    hom_R(r, r*), multiplied in that order, names the first (r, f) above
+    d(r*, f*), or none, where only moved's order of rounding flagged it.
     """
     q = d.quantale
     nr, nf = len(d.source.objects), len(d.target.objects)
-    rs0 = fs0 = 0
-    if method == "auto":
-        mode = _fastpath.mode_for(q, *map(_guard_rows, (d.source, d.target, d)))
-        v, tol = _hom_array(d, mode), float_tol()
-        # an object row tests the handle's own leq, which cannot split tol
-        if nr * nf >= _fastpath.OUTER_MIN_CELLS and mode in _fastpath._ALGEBRA:
-            src, tgt = _leaves(d.source), _leaves(d.target)
-            g, longest, passes = zip(*(_generators(c, mode, nr * nf) for c in src + tgt))
-            # a source leaf moves a to a* by hom(a, a*), a target leaf by hom(a*, a)
-            steps = [x.T for x in g[: len(src)]] + list(g[len(src) :])
-            tol_edge = tol / max(1, sum(longest))
-            if sum(passes) < nr + nf and _fastpath.edges_hold(mode, v, steps, tol_edge):
-                return None
-        cell = _fastpath.bimodule_violation(
-            mode, _hom_array(d.source, mode), _hom_array(d.target, mode), v, tol
-        )
-        if cell is None:
+    mode = _fastpath.mode_for(q, *map(_guard_rows, (d.source, d.target, d)))
+    v, tol = _hom_array(d, mode), float_tol()
+    # an object row tests the handle's own leq, which can neither split
+    # tol over the edges nor allow for the moved table's rounding: it
+    # moves along each whole category, with the loop's own products, as
+    # do small tables, where a leaf's product costs more than it saves
+    factored = nr * nf >= _fastpath.OUTER_MIN_CELLS and mode in _fastpath._ALGEBRA
+    src, tgt = (_leaves(d.source), _leaves(d.target)) if factored else ((d.source,), (d.target,))
+    if factored:
+        g, longest, passes = zip(*(_generators(c, mode, nr * nf) for c in src + tgt))
+        # a source leaf moves a to a* by hom(a, a*), a target leaf by hom(a*, a)
+        steps = [x.T for x in g[: len(src)]] + list(g[len(src) :])
+        tol_edge = tol / max(1, sum(longest))
+        if sum(passes) < nr + nf and _fastpath.edges_hold(mode, v, steps, tol_edge):
             return None
-        rs0, fs0 = cell
-    R, F, V = d.source.hom, d.target.hom, d.values
-    mult, leq = q.mult, q.leq
-    for rs in range(rs0, nr):
-        for fs in range(fs0 if rs == rs0 else 0, nf):
-            bound, f_row = V[rs][fs], F[fs]
-            for r in range(nr):
-                rr, v_row = R[r][rs], V[r]
-                for f in range(nf):
-                    if not leq(mult(mult(f_row[f], v_row[f]), rr), bound):
-                        return (
-                            d.source.objects[r],
-                            d.source.objects[rs],
-                            d.target.objects[f],
-                            d.target.objects[fs],
-                        )
+    steps = [_hom_array(c, mode).T for c in src] + [_hom_array(c, mode) for c in tgt]
+    alg, flag_tol = _fastpath._ALGEBRA[mode], tol
+    if v.dtype == float and (len(steps) > 2 or mode == "luk"):
+        # moved multiplies a tensor's leaves in another order than the terms
+        # below, and luk rounds by the order of its operands: flag the cells
+        # that rounding, len(steps) products a term, could break too
+        slack = 2 * len(steps) * math.ulp(1.0) * np.maximum(1.0, np.abs(v))
+        flag_tol = tol - np.minimum(slack, tol / 2)
+    flagged = alg.above(_fastpath.moved(mode, v, steps), v, flag_tol)
+    for cell in flagged.ravel().nonzero()[0].tolist():
+        rs, fs = divmod(cell, nf)
+        f_row = _hom_line(d.target, mode, fs)[None, :]
+        r_col = _hom_line(d.source, mode, rs, column=True)[:, None]
+        terms = alg.mult(alg.mult(f_row, v), r_col)
+        hit = _fastpath._first_true(alg.above(terms, v[rs, fs : fs + 1], tol))
+        if hit is not None:
+            (r, f), rn, fn = hit, d.source.objects, d.target.objects
+            return (rn[r], rn[rs], fn[f], fn[fs])
     return None
 
 
@@ -168,34 +171,6 @@ def _array_problem(q, source, target, mode, arr, what, validate=True):
     return _checked(d, what, validate)
 
 
-def check_bimodule_via_hom(d: DesignProblem):
-    """Hom-form check: hom_F * hom_R below [d(r,f), d(r*,f*)] everywhere.
-
-    Exercises the internal hom; always the element-wise loop.
-    """
-    q = d.quantale
-    R, F, V = d.source.hom, d.target.hom, d.values
-    nr, nf = len(d.source.objects), len(d.target.objects)
-    for rs in range(nr):
-        for fs in range(nf):
-            for r in range(nr):
-                for f in range(nf):
-                    lhs = q.mult(F[fs][f], R[r][rs])
-                    if not q.leq(lhs, q.hom(V[r][f], V[rs][fs])):
-                        return (
-                            d.source.objects[r],
-                            d.source.objects[rs],
-                            d.target.objects[f],
-                            d.target.objects[fs],
-                        )
-    return None
-
-
-def validate_via_hom(d: DesignProblem) -> bool:
-    """Verdict of the hom-form bimodule check."""
-    return check_bimodule_via_hom(d) is None
-
-
 def build_problem(
     source: QCategory,
     target: QCategory,
@@ -207,8 +182,8 @@ def build_problem(
     source and target must be enriched in the same quantale.  values are
     payload rows, or a numpy array in the carrier's kernel encoding: floats
     for cost, nat and fuzz, pace ranks 0-3, bools, or uint64 bitsets whose
-    bit i is the powerset's i-th base name.  The check is exhaustive over
-    object quadruples and names a witness on failure.
+    bit i is the powerset's i-th base name.  check_bimodule tests every
+    move of every cell and names a witness on failure.
     """
     if not compatible(source.quantale, target.quantale):
         raise ProblemError(

@@ -118,6 +118,76 @@ def random_raw_problem(cr: QCategory, cf: QCategory, rng: random.Random):
     return DesignProblem(cr, cf, tuple(tuple(r) for r in raw))
 
 
+def loop_bimodule(d: DesignProblem):
+    """check_bimodule's oracle: the first witness (r, r*, f, f*) in
+    (r*, f*, r, f) order, one carrier operation per quadruple."""
+    q = d.quantale
+    nr, nf = len(d.source.objects), len(d.target.objects)
+    R, F, V = d.source.hom, d.target.hom, d.values
+    mult, leq = q.mult, q.leq
+    for rs in range(nr):
+        for fs in range(nf):
+            bound, f_row = V[rs][fs], F[fs]
+            for r in range(nr):
+                rr, v_row = R[r][rs], V[r]
+                for f in range(nf):
+                    if not leq(mult(mult(f_row[f], v_row[f]), rr), bound):
+                        return (
+                            d.source.objects[r],
+                            d.source.objects[rs],
+                            d.target.objects[f],
+                            d.target.objects[fs],
+                        )
+    return None
+
+
+def loop_axioms(q, objects, hom):
+    """check_category_axioms' oracle: ("identity", x), else the first
+    ("composition", x, y, z) in (x, z, y) order, or None."""
+    n = len(objects)
+    for i in range(n):
+        if not q.leq(q.unit, hom[i][i]):
+            return ("identity", objects[i])
+    mult, leq = q.mult, q.leq
+    cols = tuple(zip(*hom))
+    for x in range(n):
+        row = hom[x]
+        for z in range(n):
+            bound, col = row[z], cols[z]
+            for y in range(n):
+                if not leq(mult(row[y], col[y]), bound):
+                    return ("composition", objects[x], objects[y], objects[z])
+    return None
+
+
+def check_bimodule_via_hom(d: DesignProblem):
+    """Hom-form check: hom_F * hom_R below [d(r,f), d(r*,f*)] everywhere.
+
+    Exercises the internal hom; always the element-wise loop.
+    """
+    q = d.quantale
+    R, F, V = d.source.hom, d.target.hom, d.values
+    nr, nf = len(d.source.objects), len(d.target.objects)
+    for rs in range(nr):
+        for fs in range(nf):
+            for r in range(nr):
+                for f in range(nf):
+                    lhs = q.mult(F[fs][f], R[r][rs])
+                    if not q.leq(lhs, q.hom(V[r][f], V[rs][fs])):
+                        return (
+                            d.source.objects[r],
+                            d.source.objects[rs],
+                            d.target.objects[f],
+                            d.target.objects[fs],
+                        )
+    return None
+
+
+def validate_via_hom(d: DesignProblem) -> bool:
+    """Verdict of the hom-form bimodule check."""
+    return check_bimodule_via_hom(d) is None
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260819)

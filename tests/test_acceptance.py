@@ -17,10 +17,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import (
     finite_families,
+    loop_bimodule,
     quantale_families,
     random_category,
     random_problem,
     random_raw_problem,
+    validate_via_hom,
 )
 
 from qodesign import (
@@ -45,7 +47,6 @@ from qodesign import (
     series,
     tensor,
     trace,
-    validate_via_hom,
 )
 from qodesign.casestudies import (
     UavTaskSpec,
@@ -56,7 +57,6 @@ from qodesign.casestudies import (
     uav_cost_model,
     uav_powerset_model,
 )
-from qodesign.problems import check_bimodule
 
 SEED = 20260819
 
@@ -244,7 +244,7 @@ def test_c06_hom_form_bimodule_check_agrees_with_direct():
             cr = random_category(q, rng, 2, 3)
             cf = random_category(q, rng, 2, 3)
             raw = random_raw_problem(cr, cf, rng)
-            direct = check_bimodule(raw, method="loop") is None
+            direct = loop_bimodule(raw) is None
             disagreements += direct != validate_via_hom(raw)
             checked += 1
     _report(

@@ -26,7 +26,7 @@ from qodesign import (
 )
 from qodesign import _fastpath
 
-from conftest import random_category, random_problem
+from conftest import loop_axioms, loop_bimodule, random_category, random_problem
 
 
 def _powerset(n):
@@ -144,10 +144,10 @@ def test_checks_name_the_loop_witness(name, seed):
     d = random_problem(src, tgt, rng)
     for values in (d.values, _perturbed(q, d.values, rng)):
         e = DesignProblem(tensor(*src.factors), tensor(*tgt.factors), values)
-        assert check_bimodule(e) == check_bimodule(e, method="loop"), name
+        assert check_bimodule(e) == loop_bimodule(e), name
     for hom in (src.hom, _perturbed(q, src.hom, rng)):
         cat = build_category(q, src.objects, hom, validate=False)
-        want = check_category_axioms(q, cat.objects, cat.hom, method="loop")
+        want = loop_axioms(q, cat.objects, cat.hom)
         assert check_category_axioms(q, cat.objects, cat.hom) == want, name
 
 

@@ -1,11 +1,13 @@
 """Design problems: validation, evaluation, and composition oracles."""
 
+import itertools
 import math
 import operator
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qodesign import (
     CompositionError,
@@ -18,7 +20,7 @@ from qodesign import (
     build_problem,
     chain_category,
     check_bimodule,
-    check_bimodule_via_hom,
+    check_category_axioms,
     cost_quantale,
     discrete_category,
     evaluate,
@@ -35,15 +37,18 @@ from qodesign import (
     tensor,
     trace,
     upward_closure,
-    validate_via_hom,
 )
 
 from conftest import (
+    check_bimodule_via_hom,
     close_values,
+    loop_axioms,
+    loop_bimodule,
     quantale_families,
     random_category,
     random_problem,
     random_raw_problem,
+    validate_via_hom,
     wide_families,
 )
 from qodesign import _fastpath
@@ -81,7 +86,7 @@ def test_direct_and_hom_form_agree(rng):
             cf = random_category(q, rng)
             d = random_raw_problem(cr, cf, rng)
             direct = check_bimodule(d) is None
-            assert check_bimodule(d) == check_bimodule(d, method="loop"), name
+            assert check_bimodule(d) == loop_bimodule(d), name
             via_hom = validate_via_hom(d)
             assert direct == via_hom, name
             hom_witness = check_bimodule_via_hom(d)
@@ -299,7 +304,7 @@ def test_bool_bimodule_check_counts_past_a_byte():
     cf = build_category(q, names, [[i == j or i == 0 for j in range(n)] for i in range(n)])
     cr = discrete_category(q, ["r"])
     d = DesignProblem(cr, cf, ((False,) + (True,) * (n - 1),))
-    assert check_bimodule(d, method="loop") == ("r", "r", "f1", "f0")
+    assert loop_bimodule(d) == ("r", "r", "f1", "f0")
     assert check_bimodule(d) == ("r", "r", "f1", "f0")
     with pytest.raises(ProblemError):
         build_problem(cr, cf, d.values)
@@ -327,17 +332,17 @@ def _perturbed(q, d, rng):
 
 def _with_object_row():
     """quantale_families() and the bool x cost product, whose object row
-    keeps a product on the dense kernel."""
+    keeps a product on the moved kernel."""
     return dict(quantale_families(), product_cost=wide_families()["product_cost"])
 
 
 def test_tensor_bimodule_check_names_the_loop_witness(rng, monkeypatch):
     # 9 x 8-12 objects, so 72-108 cells; the target nests a tensor in a
     # tensor.  Closed tables pass the edge-by-edge test; a perturbed cell
-    # usually fails it and falls through to the dense kernel.  The bool x
-    # cost product's object row has no edge test and runs the dense kernel.
+    # usually fails it and falls through to the moved kernel.  The bool x
+    # cost product's object row has no edge test and runs the moved kernel.
     leaf_calls = _counting(monkeypatch, "edges_hold")
-    dense_calls = _counting(monkeypatch, "bimodule_violation")
+    dense_calls = _counting(monkeypatch, "moved")
     for name, mk in _with_object_row().items():
         q = mk()
         numeric = _fastpath.mode_for(q) in _fastpath._ALGEBRA
@@ -355,10 +360,24 @@ def test_tensor_bimodule_check_names_the_loop_witness(rng, monkeypatch):
                 fresh = DesignProblem(
                     tensor(*src.factors, validate=False), tensor(inner, tgt.factors[1]), e.values
                 )  # homs not yet built, as in a model
-                want = check_bimodule(e, method="loop")
+                want = loop_bimodule(e)
                 assert check_bimodule(e) == want, name
                 assert check_bimodule(fresh) == want, name
     assert leaf_calls
+
+
+def test_tensor_checks_name_the_loop_witness_on_every_carrier(rng):
+    # 6-9 x 6-12 objects, on both sides of OUTER_MIN_CELLS: factored on the
+    # numeric modes from 64 cells on, whole categories below and on the
+    # object rows (nat past NAT_EXACT_BELOW, the bool x cost product)
+    for name, mk in wide_families().items():
+        q = mk()
+        for _ in range(2):
+            src = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 3, 3))
+            tgt = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 3, 4))
+            d = random_problem(src, tgt, rng)
+            for e in (d, _perturbed(q, d, rng), random_raw_problem(src, tgt, rng)):
+                assert check_bimodule(e) == loop_bimodule(e), name
 
 
 def test_pushed_tensor_is_checked_whole(rng):
@@ -375,7 +394,7 @@ def test_pushed_tensor_is_checked_whole(rng):
         raw = [[qc.sample(rng) for _ in tgt.objects] for _ in src.objects]
         values = close_values(tensor(*src.factors), tgt, raw)
         d = DesignProblem(src, tgt, tuple(map(tuple, values)))
-        want = check_bimodule(d, method="loop")
+        want = loop_bimodule(d)
         assert check_bimodule(d) == want
         broken += want is not None
     assert broken
@@ -389,10 +408,10 @@ def test_nat_tensor_past_the_exact_bound_runs_the_object_row(monkeypatch):
     src = tensor(a, b)
     tgt = tensor(nat_grid_category([0, 1, 2], q), nat_grid_category([0, 1, 2, 3], q))
     d = build_problem(src, tgt, [[0] * 12 for _ in range(6)], validate=False)
-    kernels = [_counting(monkeypatch, k) for k in ("edges_hold", "bimodule_violation")]
-    assert check_bimodule(d) == check_bimodule(d, method="loop") is None
+    kernels = [_counting(monkeypatch, k) for k in ("edges_hold", "moved")]
+    assert check_bimodule(d) == loop_bimodule(d) is None
     assert kernels[0] == [] and [args[0] for args in kernels[1]] == [q]
-    assert all(arr.dtype == object for arr in kernels[1][0][1:4])
+    assert all(arr.dtype == object for arr in [kernels[1][0][1], *kernels[1][0][2]])
     assert _fastpath.mode_for(q, a.hom, b.hom) == "minplus"
     assert _fastpath.mode_for(q, src.hom) is q  # as on the built hom
     assert type(src.hom[0][-1]) is int and src.hom[0][-1] == 2**51  # from the object row
@@ -450,9 +469,10 @@ def test_edge_check_names_the_loop_witness_on_chains_and_grids(rng, monkeypatch)
     # 16-25 x 8-12 tables between tensors of chains (and nat grids): the
     # 4-5 object leaves are searched and presented by their n - 1 adjacent
     # edges.  Closed tables pass on the edges alone; a table where exactly
-    # one edge fails leaves the verdict to the dense kernel and loop.  The
-    # bool x cost product's object row has no edge test: the dense kernel runs.
-    dense_calls = _counting(monkeypatch, "bimodule_violation")
+    # one edge fails leaves the verdict to the moved kernel and the witness
+    # pass.  The bool x cost product's object row has no edge test: the
+    # moved kernel runs.
+    dense_calls = _counting(monkeypatch, "moved")
     for name, mk in _with_object_row().items():
         q = mk()
         mode = _fastpath.mode_for(q)
@@ -468,14 +488,14 @@ def test_edge_check_names_the_loop_witness_on_chains_and_grids(rng, monkeypatch)
                 assert name == "product_cost" and [args[0] for args in dense_calls] == [q]
                 assert a._presentations == {}
                 e = _perturbed(q, d, rng)
-                assert check_bimodule(e) == check_bimodule(e, method="loop"), name
+                assert check_bimodule(e) == loop_bimodule(e), name
                 continue
             assert dense_calls == [], name  # the edge test accepts closed tables
             assert a._presentations[mode][1] == len(a.objects) - 1, name
             e = _one_edge_broken(d, rng)
             if e is not None:
                 broken += 1
-                want = check_bimodule(e, method="loop")
+                want = loop_bimodule(e)
                 assert want is not None and check_bimodule(e) == want, name
         assert broken or name == "product_cost", name
 
@@ -493,7 +513,7 @@ def test_preorders_with_ties_take_the_trivial_presentation(rng):
         tgt = chain_category(q, [f"t{i}" for i in range(24)])
         raw = random_raw_problem(c, tgt, rng)
         for d in (raw, DesignProblem(c, tgt, tuple(map(tuple, close_values(c, tgt, raw.values))))):
-            want = check_bimodule(d, method="loop")
+            want = loop_bimodule(d)
             assert check_bimodule(d) == want
         g, longest, passes = c._presentations["bool"]  # searched, then rejected
         assert longest == 1 and passes == 5
@@ -517,7 +537,7 @@ def test_edge_check_on_metrics_and_pushed_tensors(rng):
             raw = [[qc.sample(rng) for _ in tgt.objects] for _ in src.objects]
             d = DesignProblem(src, tgt, tuple(map(tuple, close_values(closed_over, tgt, raw))))
             for e in (d, _perturbed(qc, d, rng)):
-                want = check_bimodule(e, method="loop")
+                want = loop_bimodule(e)
                 assert check_bimodule(e) == want
                 verdicts.add(want is None)
         assert "minplus" in metric._presentations and "minplus" in pushed._presentations
@@ -532,7 +552,7 @@ def test_a_large_leaf_skips_the_search(monkeypatch):
     # dense check of a 40 x 40 table, which then runs alone.
     q = bool_quantale()
     closures, edges = _counting(monkeypatch, "closure"), _counting(monkeypatch, "edges_hold")
-    dense = _counting(monkeypatch, "bimodule_violation")
+    dense = _counting(monkeypatch, "moved")
     c = chain_category(q, [f"c{i}" for i in range(40)])
     searched = lambda: [g for _, g in closures if len(g) == 40]
     small = build_problem(c, chain_category(q, ["a", "b", "c"]), [[True] * 3] * 40)
@@ -549,14 +569,158 @@ def test_float_edges_share_the_tolerance_along_a_path():
     # costs creep up by 0.8 tol per step along both source chains: each
     # edge is within tol, but the move from (0,0) to (3,3) takes six of
     # them, 4.8 tol in all, so the edges are tested at a sixth of tol or
-    # less and the dense kernel names the loop's witness
+    # less and the moved kernel names the loop's witness
     q, tol = cost_quantale(), float_tol()
     chain = lambda: chain_category(q, ["a", "b", "c", "d"])
     src, tgt = tensor(chain(), chain()), chain()
     steps = np.add.outer(np.arange(4), np.arange(4)).reshape(16, 1)
     d = build_problem(src, tgt, 1.0 + 0.8 * tol * steps + np.zeros((1, 4)), validate=False)
-    want = check_bimodule(d, method="loop")
+    want = loop_bimodule(d)
     assert want is not None and check_bimodule(d) == want
+
+
+# Between UavTaskSpec.coarse() and the full grids: LoopIn 870 x LoopOut 116.
+MID_GRID = dict(
+    velocity_grid=(1.5, 2.0, 2.5, 3.0),
+    weight_grid=tuple(range(200, 3001, 100)),
+    served_grid=(0, 250, 500, 750, 1000),
+    payload_grid=(100, 900, 1700, 2500),
+)
+
+
+def _stage_without_its_last_cell(task):
+    """The UAV powerset stage with its last nonzero cell cleared, as a
+    fresh array-backed problem over the model's tensor categories."""
+    from qodesign.casestudies import uav_powerset_model
+
+    stage = uav_powerset_model(task).problems["stage"]
+    (arr,) = stage._arrays.values()
+    arr = arr.copy()
+    arr.flat[np.flatnonzero(arr)[-1]] = 0
+    return build_problem(stage.source, stage.target, arr, validate=False)
+
+
+def test_failing_stage_check_builds_no_tensor_hom():
+    # one move breaks: the check joins the moves one leaf axis at a time
+    # and names the witness in one pass, without any 870 x 870 or 116 x
+    # 116 tensor hom
+    from qodesign.casestudies import UavTaskSpec
+
+    d = _stage_without_its_last_cell(UavTaskSpec(**MID_GRID))
+    assert check_bimodule(d) == (
+        "((60,1000),600)", "((240,1000),200)", "(2500,2700)", "(2500,2700)"
+    )
+    for c in (d.source, d.target):
+        n = len(c.objects)
+        assert "hom" not in vars(c)
+        assert not any(arr.size >= n * n for arr in c._arrays.values())
+    with pytest.raises(ProblemError, match="bimodule"):
+        build_problem(d.source, d.target, d._arrays["bits"])
+
+
+def test_failing_tiny_stage_names_the_loop_witness():
+    from qodesign.casestudies import UavTaskSpec
+
+    d = _stage_without_its_last_cell(UavTaskSpec.tiny())
+    want = loop_bimodule(d)
+    assert want is not None and check_bimodule(d) == want
+
+
+def test_tensors_with_an_empty_leaf_check_as_the_loop(rng):
+    for name, mk in wide_families().items():
+        q = mk()
+        full = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
+        empty = tensor(random_category(q, rng, 2, 2), tensor(discrete_category(q, []), full))
+        assert len(empty.objects) == 0 and check_category_axioms(q, (), ()) is None
+        for src, tgt in ((empty, full), (full, empty), (empty, empty)):
+            rows = [[q.bottom] * len(tgt.objects) for _ in src.objects]
+            d = build_problem(src, tgt, rows)
+            assert check_bimodule(d) is loop_bimodule(d) is None, name
+            assert check_bimodule(parallel(d, random_problem(full, full, rng))) is None, name
+
+
+@pytest.mark.parametrize("carrier", ["cost", "product_cost"])
+@pytest.mark.parametrize(
+    "a1, a2, b1, b2, dv, y",
+    [
+        (2.66577711609773, 0.47930337836454595, 2.5473285420637373, 1.14520364626788,
+         1.319152803845109, 8.156765487639003),
+        (1.32756527960813, 2.380371143545388, 1.9943006601582218, 0.35758193710705455,
+         0.6071033936897996, 6.666922415108594),
+    ],
+    ids=["tie1", "tie2"],
+)
+def test_moves_that_break_tol_by_a_rounding_name_the_loop_witness(carrier, a1, a2, b1, b2, dv, y):
+    # 2 x 2 tensors of two-object chains weighted a1, a2 and b1, b2: the
+    # last row's first cell is raised to y, within one rounding of tol
+    # above the cheapest move into it.  The loop's terms round that move
+    # below y - tol; the moves joined axis by axis round it no lower.
+    q = wide_families()[carrier]()
+    lift = (lambda c: c) if carrier == "cost" else (lambda c: (c != math.inf, c))
+    leaf = lambda w, names: build_category(
+        q, names, [[lift(0.0), lift(w)], [lift(math.inf), lift(0.0)]], validate=False
+    )
+    src = tensor(leaf(a1, "pq"), leaf(a2, "st"), validate=False)
+    tgt = tensor(leaf(b1, "uv"), leaf(b2, "wx"), validate=False)
+    raw = [[lift(math.inf)] * 4 for _ in range(4)]
+    raw[0][3] = lift(dv)
+    rows = close_values(src, tgt, raw)
+    rows[3][0] = lift(y)
+    d = DesignProblem(src, tgt, tuple(map(tuple, rows)))
+    want = loop_bimodule(d)
+    assert want is not None and check_bimodule(d) == want
+
+
+def _near_the_tolerance(q):
+    """Payloads where rounding and the tolerance meet: for costs, 0, inf,
+    subnormals and multiples of a quarter of tol; for the Lukasiewicz
+    t-norm, the clamps 0 and 1 and values within a few tol of them."""
+    tol = float_tol()
+    if q.kind == "cost":
+        return st.one_of(
+            st.sampled_from([0.0, math.inf]),
+            st.floats(0.0, 2.2250738585072014e-308),
+            st.integers(0, 12).map(lambda k: k * tol / 4),
+            st.floats(0.0, 3 * tol),
+        )
+    return st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 3 * tol),
+        st.floats(1.0 - 3 * tol, 1.0),
+        st.integers(0, 12).map(lambda k: 1.0 - k * tol / 4),
+    )
+
+
+def _drawn_category(q, data, values, n):
+    """A category on n objects: drawn homs with a unit diagonal, closed
+    as conftest.random_category closes them, and not validated."""
+    hom = [[q.unit if i == j else data.draw(values) for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        hom[i][j] = q.join([hom[i][j], q.mult(hom[i][k], hom[k][j])])
+    return build_category(q, [f"x{i}" for i in range(n)], hom, validate=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["cost", "fuzz_lukasiewicz"]))
+def test_checks_name_the_loop_witness_near_the_tolerance(data, kind):
+    # tensors of 2-3 object leaves, so 16-81 cells: the moves are joined
+    # one axis at a time, in another order than the loop's products
+    q = quantale_families()[kind]()
+    values = _near_the_tolerance(q)
+    sizes = st.integers(2, 3)
+    leaf = lambda: _drawn_category(q, data, values, data.draw(sizes))
+    src, tgt = tensor(leaf(), leaf(), validate=False), tensor(leaf(), leaf(), validate=False)
+    raw = [[data.draw(values) for _ in tgt.objects] for _ in src.objects]
+    if data.draw(st.booleans()):
+        raw = close_values(src, tgt, raw)
+        i, j = data.draw(st.integers(0, len(raw) - 1)), data.draw(st.integers(0, len(raw[0]) - 1))
+        raw[i][j] = data.draw(values)
+    d = DesignProblem(src, tgt, tuple(map(tuple, raw)))
+    assert check_bimodule(d) == loop_bimodule(d)
+    n = data.draw(sizes)
+    hom = [[data.draw(values) for _ in range(n)] for _ in range(n)]
+    objs = [f"x{i}" for i in range(n)]
+    assert check_category_axioms(q, objs, hom) == loop_axioms(q, objs, hom)
 
 
 def _traceable(q, rng):
