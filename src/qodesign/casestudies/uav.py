@@ -409,16 +409,12 @@ def uav_powerset_model(
     loop_in = doc.add_tensor_category("LoopIn", "ChoiceI", "WeightLoopI")
     loop_out = doc.add_tensor_category("LoopOut", "PayloadI", "WeightLoopI")
 
-    chooser_rows = []
-    for b in task.budget_grid:
-        row = []
-        for b2 in task.budget_grid:
-            for _k in task.served_grid:
-                row.append(b >= b2)
-        chooser_rows.append(row)
+    # chooser[b, (b2, k)]: budget b covers b2, for every served count k
+    grid = np.array(task.budget_grid)
+    chooser = np.repeat(grid[:, None] >= grid[None, :], len(task.served_grid), axis=1)
     doc.add_problem(
         "choose_served",
-        build_problem(doc.categories["Budget"], doc.categories["Choice"], chooser_rows),
+        build_problem(doc.categories["Budget"], doc.categories["Choice"], chooser),
         "Budget",
         "Choice",
     )

@@ -9,8 +9,8 @@ quantale, satisfying
 Rows index the first argument.  Bool-enriched categories are preorders;
 cost-enriched ones are generalized metric spaces.  Instances are immutable
 and validated at construction, so they are safe for shared reads; their
-memo of encoded homs is filled on first read, from the immutable hom.  A
-tensor keeps its factors and builds its hom and arrays on first read.
+memo of encoded homs is filled on first read.  A tensor or a pushforward
+is held as its array alone, and decodes its hom on first read.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import _fastpath
 from .errors import CategoryError, CompositionError, LaxityError, QuantaleError
@@ -45,8 +47,8 @@ class QCategory:
         object.__setattr__(self, "_presentations", {})
 
     def __getattr__(self, name):
-        # only a tensor lacks its hom, until the first read builds it
-        if name != "hom" or not self._tensor:
+        # only a category held as its array lacks its hom, until the first read
+        if name != "hom":
             raise AttributeError(name)
         mode = _fastpath.mode_for(self.quantale, _guard_rows(self))
         object.__setattr__(self, "hom", _decode_rows(self.quantale, mode, _hom_array(self, mode)))
@@ -75,16 +77,24 @@ class QCategory:
         return q.leq(q.unit, self.hom_payload(x, y))
 
     def same_interface(self, other: "QCategory") -> bool:
-        if not compatible(self.quantale, other.quantale):
-            return False
-        if self.objects != other.objects:
-            return False
-        q = self.quantale
-        for row_a, row_b in zip(self.hom, other.hom):
-            for a, b in zip(row_a, row_b):
-                if not q.equal(a, b):
-                    return False
-        return True
+        return _interface_mismatch(self, other) is None
+
+
+def _interface_mismatch(a: QCategory, b: QCategory):
+    """None when a and b are one interface, else what differs first: quantales,
+    objects, or the first hom cell either is above the other at, as q.equal."""
+    if a is b:
+        return None
+    if not compatible(a.quantale, b.quantale):
+        return f"quantale mismatch ({a.quantale.name} vs {b.quantale.name})"
+    xs, ys = a.objects, b.objects
+    if xs != ys:
+        first = next((x for x, y in zip(xs, ys) if x != y), xs[len(ys) :][:1] or ys[len(xs) :][:1])
+        return f"object mismatch ({len(xs)} vs {len(ys)} objects; first difference {first!r})"
+    mode, tol = _fastpath.mode_for(a.quantale, _guard_rows(a), _guard_rows(b)), float_tol()
+    ha, hb, above = _hom_array(a, mode), _hom_array(b, mode), _fastpath._ALGEBRA[mode].above
+    cell = _fastpath._first_true(above(ha, hb, tol) | above(hb, ha, tol))
+    return None if cell is None else f"hom tables differ at ({xs[cell[0]]!r}, {xs[cell[1]]!r})"
 
 
 def _normalize_table(
@@ -124,29 +134,27 @@ def _normalize_table(
     return tuple(out)
 
 
-def check_category_axioms(q: Quantale, objects, hom, arrays: dict = None):
+def check_category_axioms(q: Quantale, objects, hom):
     """Return None when both axioms hold, else a witness description.
 
-    The witness is ("identity", x) or ("composition", x, y, z) with object
-    names, the first in (x, z, y) order.  The composition kernel finds
-    the first violating (x, z); one vector pass over the paths through
-    each y names the first y there, with the kernel's own products.
-    arrays is the per-mode memo of encoded homs of the category hom
-    belongs to.
+    hom is payload rows, or a category's hom as _hom_array holds it.  The
+    witness is ("identity", x) or ("composition", x, y, z), the first in
+    (x, z, y) order: one comparison of the diagonal with the unit names x;
+    the composition kernel finds the first violating (x, z), and one vector
+    pass over the paths through each y there names y, with its products.
     """
-    n = len(objects)
-    for i in range(n):
-        if not q.leq(q.unit, hom[i][i]):
-            return ("identity", objects[i])
-    if n == 0:
+    if len(objects) == 0:
         return None
     mode, tol = _fastpath.mode_for(q, hom), float_tol()
-    h = _fastpath.hom_array(q, mode, hom, arrays)
+    h = hom if isinstance(hom, np.ndarray) else _fastpath.encode(q, mode, hom)
+    alg = _fastpath._ALGEBRA[mode]
+    bad = _fastpath._first_true(alg.above(_unit(q, mode), h.diagonal(), tol))
+    if bad is not None:
+        return ("identity", objects[bad[0]])
     cell = _fastpath.category_violation(mode, h, tol)
     if cell is None:
         return None
     x, z = cell
-    alg = _fastpath._ALGEBRA[mode]
     # the bound as a slice, so that an object row keeps a tuple payload whole
     (y,) = _fastpath._first_true(alg.above(alg.mult(h[x], h[:, z]), h[x, z : z + 1], tol))
     return ("composition", objects[x], objects[y], objects[z])
@@ -154,8 +162,8 @@ def check_category_axioms(q: Quantale, objects, hom, arrays: dict = None):
 
 def _validate(cat: QCategory, context: str = ""):
     """Raise CategoryError naming a witness if cat breaks an axiom."""
-    q = cat.quantale
-    witness = check_category_axioms(q, cat.objects, cat.hom, arrays=cat._arrays)
+    mode = _fastpath.mode_for(cat.quantale, _guard_rows(cat))
+    witness = check_category_axioms(cat.quantale, cat.objects, _hom_array(cat, mode))
     if witness is None:
         return
     suffix = f" {context}" if context else ""
@@ -295,7 +303,7 @@ def _leaves(cat: QCategory) -> tuple:
 def _hom_array(x, mode):
     """x's table encoded for mode, kept in x's memo of arrays.  A tensor's
     is the outer product of its factors' arrays, so its hom is not built;
-    a problem held as another mode's array is decoded first; a table with
+    a table held as another mode's array is decoded first; a table with
     no rows keeps its column count."""
     if mode not in x._arrays:
         if isinstance(x, QCategory) and x._tensor:
@@ -306,6 +314,26 @@ def _hom_array(x, mode):
             arr = _fastpath.encode(x.quantale, mode, rows).reshape(len(rows), len(cols.objects))
         x._arrays[mode] = arr
     return x._arrays[mode]
+
+
+def _push(x, phi):
+    """(mode, array): x's table, a category's hom or a problem's values,
+    mapped through phi, in phi.target's mode for the images.  Each distinct
+    value is mapped once, in the order of its first cell, so a failing map
+    raises where a walk over the cells would; an object row, whose payloads
+    need not be hashable or ordered, maps each cell.  An identity keeps x's array."""
+    q, mode = x.quantale, _fastpath.mode_for(x.quantale, _guard_rows(x))
+    arr = _hom_array(x, mode)
+    if phi.kind == "identity":
+        return mode, arr
+    if mode in _fastpath._ALGEBRA:
+        values, inverse = _fastpath.distinct(arr)
+        payloads = _fastpath.decode(q, mode, values[None, :])[0]
+    else:
+        payloads, inverse = arr.ravel().tolist(), np.arange(arr.size).reshape(arr.shape)
+    images = [list(map(phi, payloads))]
+    target = _fastpath.mode_for(phi.target, images)
+    return target, _fastpath.encode(phi.target, target, images)[0][inverse]
 
 
 def _hom_line(cat: QCategory, mode, i, column=False):
@@ -327,7 +355,7 @@ def _guard_rows(x):
     """x's table, a category's hom or a problem's values, as mode_for's
     nat range guard reads it, without building it: one row with its
     largest finite value, for a tensor the sum of its leaves' (inf
-    absorbs), for an array-backed problem its array's.  Other carriers
+    absorbs), for a table held as its array its array's.  Other carriers
     do not read the rows."""
     if x.quantale.kind != "nat":
         return ()
@@ -335,19 +363,27 @@ def _guard_rows(x):
         finite = ([v for row in c.hom for v in row if v != math.inf] for c in _leaves(x))
         return ((sum(max(vs, default=math.inf) for vs in finite),),)
     table = vars(x).get("hom" if isinstance(x, QCategory) else "values")
-    if table is None:  # array-backed: its memo holds one array
+    if table is None:  # held as its array: its memo holds one array
         (arr,) = x._arrays.values()
         return ((arr[arr != math.inf].max(initial=0),),)
     return table
 
 
+def _unit(q: Quantale, mode):
+    """q's unit encoded for mode, one cell, kept in q's memo of units."""
+    if mode not in q._units:
+        q._units[mode] = _fastpath.encode(q, mode, [[q.unit]])[0]
+    return q._units[mode]
+
+
 def _leaf_holds(c: QCategory, tol) -> bool:
     """c has a unit diagonal and passes the composition kernel within tol."""
-    q, mode = c.quantale, _fastpath.mode_for(c.quantale, c.hom)
+    q, mode = c.quantale, _fastpath.mode_for(c.quantale, _guard_rows(c))
     # an object row tests the handle's own leq, which cannot split tol
-    if mode not in _fastpath._ALGEBRA or any(row[i] != q.unit for i, row in enumerate(c.hom)):
+    if mode not in _fastpath._ALGEBRA:
         return False
-    return _fastpath.category_violation(mode, _hom_array(c, mode), tol) is None
+    h, unit = _hom_array(c, mode), _unit(q, mode)
+    return (h.diagonal() == unit).all() and _fastpath.category_violation(mode, h, tol) is None
 
 
 def _generators(c: QCategory, mode, cells: int):
@@ -397,27 +433,23 @@ def pushforward(
 ) -> QCategory:
     """Change of base: map every hom entry through a verified lax map.
 
-    phi must be certified lax or strict unless force is given; a lax map
-    always yields a valid category, so a validation failure under force
-    points at the forced, unverified map.
+    The result is held as _push's array, with c's factors pushed.  phi must be
+    certified lax or strict unless force is given; a lax map always yields
+    a valid category, so a failure under force points at the forced map.
     """
     if not compatible(phi.source, c.quantale):
         raise CompositionError(
             f"map {phi.name} expects {phi.source.name}, category is over "
             f"{c.quantale.name}"
         )
-    if getattr(phi, "kind", None) == "identity":
+    if phi.kind == "identity":
         return c
     _gate(phi, force)
-    q2 = phi.target
-    hom = [[phi(v) for v in row] for row in c.hom]
-    factors = None
-    if c.factors is not None:
-        factors = tuple(
-            pushforward(f, phi, force=force, validate=False) for f in c.factors
-        )
-    rows = _normalize_table(q2, c.objects, c.objects, hom, CategoryError, "pushforward: ")
-    cat = QCategory(q2, c.objects, rows, factors)
+    factors = c.factors and tuple(pushforward(f, phi, force, False) for f in c.factors)
+    mode, arr = _push(c, phi)
+    cat = QCategory(phi.target, c.objects, None, factors)
+    object.__delattr__(cat, "hom")  # decoded by __getattr__ on first read
+    cat._arrays[mode] = arr
     if validate:
         forced = "forced unverified map " if force else ""
         _validate(cat, f"(pushforward through {forced}{phi.name})")

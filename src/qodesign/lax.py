@@ -24,7 +24,7 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from . import _fastpath
-from .categories import QCategory, _gate, _guard_rows, _hom_array, pushforward
+from .categories import QCategory, _gate, _push, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
 from .problems import DesignProblem, _array_problem, _make_problem
 from .quantales import Quantale, compatible, make_powerset
@@ -557,7 +557,8 @@ def classify_cost_to_bool(grid: Sequence, quantale: Quantale = None) -> GridClas
 def pushforward_problem(
     d: DesignProblem, phi: LaxMap, force: bool = False, validate: bool = True
 ) -> DesignProblem:
-    """Transport a problem along a lax map: push categories and values.
+    """Transport a problem along a lax map: push categories and values,
+    the values held as _push's array.
 
     Laxity makes the image a valid problem over the target quantale; a
     validation failure under force names the forced map.
@@ -572,10 +573,9 @@ def pushforward_problem(
         return d
     src = pushforward(d.source, phi, force=force, validate=validate)
     tgt = pushforward(d.target, phi, force=force, validate=validate)
-    vals = [[phi(v) for v in row] for row in d.values]
     forced = "forced unverified " if force else ""
     what = f"pushforward through {forced}map {phi.name}"
-    return _make_problem(phi.target, src, tgt, vals, what, validate)
+    return _array_problem(phi.target, src, tgt, *_push(d, phi), what, validate)
 
 
 def _hetero_gates(d1, d2, phi1, phi2, force):
@@ -613,8 +613,8 @@ def hetero_series(
     must agree at the interface: the composite's validity needs each
     problem's own bimodule property, not agreement of the two interface
     hom tables.  The result runs between the pushed endpoint categories.
-    An identity map leaves its operand as it is, read through its memo
-    of arrays, where another map is applied cell by cell.
+    Each operand's values are pushed as an array (_push), the interface
+    categories not at all; an identity map keeps its operand's array.
     """
     _hetero_gates(d1, d2, phi1, phi2, force)
     if d1.target.objects != d2.source.objects:
@@ -625,14 +625,10 @@ def hetero_series(
     q = phi1.target
     src = pushforward(d1.source, phi1, force=force, validate=validate)
     tgt = pushforward(d2.target, phi2, force=force, validate=validate)
-    ops = [None if phi.kind == "identity" else [[phi(v) for v in row] for row in d.values]
-           for d, phi in ((d1, phi1), (d2, phi2))]
-    pairs = list(zip((d1, d2), ops))
-    guards = (_guard_rows(d) if x is None else x for d, x in pairs)
-    mode = _fastpath.mode_for(q, _guard_rows(src), _guard_rows(tgt), *guards)  # as the check's
-    a, b = (_hom_array(d, mode) if x is None else
-            _fastpath.encode(q, mode, x).reshape(len(x), len(d.target.objects))
-            for d, x in pairs)
+    (mode, a), (mode2, b) = _push(d1, phi1), _push(d2, phi2)
+    if mode != mode2:  # nat past float64's exact integers on one side: both as objects
+        mode, a, b = q, *(_fastpath.encode(q, q, _fastpath.decode(q, m, x)).reshape(x.shape)
+                          for m, x in ((mode, a), (mode2, b)))
     table = _fastpath.series_product(mode, a, b)
     return _array_problem(q, src, tgt, mode, table, "heterogeneous series output", validate)
 

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _fastpath
-from .categories import QCategory, _normalize_table, tensor
+from .categories import QCategory, _interface_mismatch, _normalize_table, tensor
 from .categories import _decode_rows, _generators, _guard_rows, _hom_array, _hom_line, _leaves
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
@@ -211,40 +211,15 @@ def identity_problem(c: QCategory, validate: bool = True) -> DesignProblem:
     This transpose orientation is the series unit; composing with it on
     either side leaves any problem unchanged.
     """
-    n = len(c.objects)
-    values = tuple(
-        tuple(c.hom[f][r] for f in range(n)) for r in range(n)
-    )
-    return _checked(DesignProblem(c, c, values), "identity problem", validate)
+    q = c.quantale
+    mode = _fastpath.mode_for(q, _guard_rows(c))
+    return _array_problem(q, c, c, mode, _hom_array(c, mode).T, "identity problem", validate)
 
 
 def _require_same_interface(a: QCategory, b: QCategory, what: str):
-    if a is b:
-        return
-    if not compatible(a.quantale, b.quantale):
-        raise CompositionError(
-            f"{what}: quantale mismatch ({a.quantale.name} vs {b.quantale.name})"
-        )
-    if a.objects != b.objects:
-        raise CompositionError(
-            f"{what}: object mismatch ({len(a.objects)} vs {len(b.objects)} objects; "
-            f"first difference {_first_diff(a.objects, b.objects)!r})"
-        )
-    q = a.quantale
-    for i, (ra, rb) in enumerate(zip(a.hom, b.hom)):
-        for j, (va, vb) in enumerate(zip(ra, rb)):
-            if not q.equal(va, vb):
-                raise CompositionError(
-                    f"{what}: hom tables differ at "
-                    f"({a.objects[i]!r}, {a.objects[j]!r})"
-                )
-
-
-def _first_diff(xs, ys):
-    for x, y in zip(xs, ys):
-        if x != y:
-            return x
-    return xs[len(ys):][:1] or ys[len(xs):][:1]
+    mismatch = _interface_mismatch(a, b)
+    if mismatch is not None:
+        raise CompositionError(f"{what}: {mismatch}")
 
 
 def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> DesignProblem:

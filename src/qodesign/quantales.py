@@ -65,6 +65,7 @@ class Quantale:
     _elements: tuple = None
     _sample: Callable[[Random], Any] = None
     _format: Callable[[Any], str] = None
+    _units: dict = field(default_factory=dict, init=False)  # kernel mode -> unit, encoded
 
     def __repr__(self):
         return f"Quantale({self.name!r}, kind={self.kind!r})"

@@ -160,6 +160,17 @@ def loop_axioms(q, objects, hom):
     return None
 
 
+def pushforward_cells(x, phi):
+    """pushforward's oracle: phi applied to each cell of x's hom, one call
+    per cell, factors pushed the same way.  A problem's values map the
+    same way, to payload rows."""
+    if isinstance(x, DesignProblem):
+        return tuple(tuple(phi(v) for v in row) for row in x.values)
+    factors = x.factors and tuple(pushforward_cells(f, phi) for f in x.factors)
+    hom = tuple(tuple(phi(v) for v in row) for row in x.hom)
+    return QCategory(phi.target, x.objects, hom, factors)
+
+
 def check_bimodule_via_hom(d: DesignProblem):
     """Hom-form check: hom_F * hom_R below [d(r,f), d(r*,f*)] everywhere.
 
