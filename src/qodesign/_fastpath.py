@@ -1,9 +1,10 @@
 """Vectorized kernels for matrix-shaped checks and compositions.
 
-Each carrier maps onto a scalar algebra numpy can drive, its kernel mode.
-Seven modes are numeric:
+Each carrier maps onto a scalar algebra numpy can drive, its kernel mode,
+which follows from the carrier alone.  Eight modes are numeric:
 
-- minplus: cost and nat (order reversed, multiplication is addition)
+- minplus: cost (order reversed, multiplication is addition)
+- nat:     minplus on Python ints and inf, as object arrays, exact
 - godel:   fuzz with the minimum t-norm, and pace via ranks
 - goguen:  fuzz with the product t-norm
 - luk:     fuzz with the Lukasiewicz t-norm
@@ -20,16 +21,16 @@ subset order and bottom 0, all exact.  Each handle keeps its layout.
 
 Every other carrier is its own mode: its handle, whose row applies the
 handle's own mult, join2 and leq to object arrays of payloads.  Products
-with a cost, nat or fuzz factor, nat tables holding a finite value of
-NAT_EXACT_BELOW or more, and handwritten handles run there, through the
-same kernels as the numeric modes.
+with a cost, nat or fuzz factor and handwritten handles run there,
+through the same kernels as the numeric modes.
 
 encode and decode translate payload tables to and from the mode's
-arrays; decode's payloads are already in normal form.  A problem or a
-tensor hom can be held as its array alone: the operators keep their
-kernel's output array, and its payloads are decoded only when read.
-as_array and outside take an array given as values: its numeric mode,
-and the cells that encode no payload of the carrier.
+arrays; decode's payloads are already in normal form, and nat's arrays
+and an object row's hold the payloads themselves.  A problem or a tensor
+hom can be held as its array alone: the operators keep their kernel's
+output array, and its payloads are decoded only when read.
+as_array and outside take an array given as values: its cast to the
+numeric mode's dtype, and the cells that encode no payload of the carrier.
 
 Everything else reads one row of _ALGEBRA per mode: the elementwise
 multiplication, the join as a ufunc whose reduce folds an axis, the
@@ -76,10 +77,6 @@ _PACE_BY_RANK = ("E", "C", "A", "P")
 # full homs; smaller tables take the plain decode and moved alone.
 OUTER_MIN_CELLS = 64
 
-# nat runs on float64, exact for integers below 2**53.  The bimodule check
-# adds three values, and 3 * 2**51 < 2**53.
-NAT_EXACT_BELOW = 2**51
-
 # The largest temporary of one block of _product and edges_hold.
 _BLOCK_BYTES = 2**18
 
@@ -103,8 +100,8 @@ def _layout(q):
     """q's bit layout, kept on the handle as its object row is, or None: a
     carrier that is not bool, pace, a powerset or a product of those has
     none.  A product's layout puts its factors' fields side by side."""
-    if "_layout" in vars(q):
-        return vars(q)["_layout"]
+    if q._layout is not False:
+        return q._layout
     if q.kind in ("bool", "pace"):  # a chain: rank r sets the r low bits
         ranks = (False, True) if q.kind == "bool" else _PACE_BY_RANK
         codes = {v: (1 << r) - 1 for r, v in enumerate(ranks)}
@@ -125,7 +122,7 @@ def _layout(q):
         layout = _Layout(offsets[-1], chains, code, payload)
     else:
         layout = None
-    vars(q)["_layout"] = layout
+    object.__setattr__(q, "_layout", layout)
     return layout
 
 
@@ -143,17 +140,16 @@ class _Rows(dict):
     on the handle, not here: `mode in _ALGEBRA` tells the numeric modes."""
 
     def __missing__(self, q):
-        row = vars(q).get("_object_row")
-        if row is None:
+        if q._object_row is None:
             not_leq = np.frompyfunc(lambda x, y: not q.leq(x, y), 2, 1)
-            row = vars(q)["_object_row"] = _Algebra(
+            object.__setattr__(q, "_object_row", _Algebra(
                 np.frompyfunc(q.mult, 2, 1),
                 np.frompyfunc(q.join2, 2, 1),
                 q.bottom,
                 object,
                 lambda x, y, tol: not_leq(x, y),  # the handle's leq has its own tol
-            )
-        return row
+            ))
+        return q._object_row
 
 
 _ALGEBRA = _Rows({
@@ -166,41 +162,38 @@ _ALGEBRA = _Rows({
         np.bitwise_and, np.bitwise_or, 0, np.uint64, lambda x, y, tol: (x & ~y) != 0
     ),
 })
-_ALGEBRA["wide"] = _ALGEBRA["bits"]._replace(dtype=object)  # the same ufuncs on Python ints
+# the same ufuncs on Python ints: wide's bitsets, and nat's exact min-plus
+_ALGEBRA["wide"] = _ALGEBRA["bits"]._replace(dtype=object)
+_ALGEBRA["nat"] = _ALGEBRA["minplus"]._replace(dtype=object, above=lambda x, y, tol: x < y)
+_KIND_MODES = {"cost": "minplus", "nat": "nat", "bool": "bool", "pace": "godel"}
+_TNORM_MODES = {"godel": "godel", "goguen": "goguen", "lukasiewicz": "luk"}
 
 
-def mode_for(q, *tables):
+def mode_for(q):
     """Kernel mode for q: the name of its numeric row, or else the handle
     q, whose object row runs the same kernels.
 
-    The mode follows the kind: bool, pace, cost and fuzz have one each; a
-    powerset or a product with a bit layout (see _layout) runs bits up to
-    63 bits and wide past that; a product without one, and any other
-    kind, runs its object row.  tables are the payload rows the caller is
-    about to encode; only nat looks at them, and a finite value of
-    NAT_EXACT_BELOW or more, past float64's exact range, sends them to
-    the object row.
+    The mode follows the carrier alone: bool, pace, cost, nat and fuzz
+    have one each; a powerset or a product with a bit layout (see
+    _layout) runs bits up to 63 bits and wide past that; a product
+    without one, and any other kind, runs its object row.
     """
     kind = q.kind
-    if kind == "cost":
-        return "minplus"
-    if kind == "nat":
-        values = (v for t in tables for row in t for v in row)
-        return "minplus" if all(v < NAT_EXACT_BELOW or v == math.inf for v in values) else q
-    if kind == "bool":
-        return "bool"
-    if kind == "pace":
-        return "godel"
+    if kind in _KIND_MODES:
+        return _KIND_MODES[kind]
     if kind == "fuzz":
-        return {"godel": "godel", "goguen": "goguen", "lukasiewicz": "luk"}[
-            q.params["tnorm"]
-        ]
+        return _TNORM_MODES[q.params["tnorm"]]
     layout = _layout(q)  # a powerset's or a product's, if it has one
     return q if layout is None else "bits" if layout.width <= 63 else "wide"
 
 
+def _holds_payloads(mode):
+    """mode's arrays hold the payloads themselves: nat's and an object row's."""
+    return mode == "nat" or mode not in _ALGEBRA
+
+
 def encode(q, mode, rows):
-    if mode not in _ALGEBRA:  # an object row holds the payloads themselves
+    if _holds_payloads(mode):
         n, m = len(rows), len(rows[0]) if rows else 0
         return np.fromiter((v for row in rows for v in row), object, n * m).reshape(n, m)
     if mode == "bool":
@@ -218,25 +211,21 @@ def encode(q, mode, rows):
 
 
 def decode(q, mode, arr):
-    if mode not in _ALGEBRA:
-        return arr.tolist()
     if mode in ("bits", "wide"):
         payload = _layout(q).payload
         payloads = {c: payload(c) for c in set(arr.ravel().tolist())}  # one per distinct code
         return [[payloads[c] for c in row] for row in arr.tolist()]
     if q.kind == "pace":
         return [[_PACE_BY_RANK[int(v)] for v in row] for row in arr.tolist()]
-    if q.kind == "nat":
-        return [[v if v == math.inf else int(v) for v in row] for row in arr.tolist()]
-    return arr.tolist()  # bool, or float: inf and -0.0 kept
+    return arr.tolist()  # payloads, bool, or float: inf and -0.0 kept
 
 
 def decode_shared(q, mode, arr):
     """decode(q, mode, arr), with every cell of one value holding one
     shared payload object: each distinct value is decoded once.  Floats
-    are told apart by their bits, so -0.0 keeps its sign.  An object
-    row's cells are payloads already, and are not ordered."""
-    if mode not in _ALGEBRA:
+    are told apart by their bits, so -0.0 keeps its sign.  nat's and an
+    object row's cells are payloads already."""
+    if _holds_payloads(mode):
         return decode(q, mode, arr)
     values, inverse = distinct(arr)
     payloads = np.empty(len(values), object)  # np.array would split product tuples
@@ -256,11 +245,11 @@ def distinct(arr):
 
 def outside(q, mode, arr):
     """Elementwise: the cell encodes no payload of q in mode.  cost is
-    >= 0 or inf, nat also integral, fuzz in [0, 1], pace a rank 0-3; a
-    bit layout's code has no bit past the layout and each chain field a
-    prefix of bits.  NaN is outside every carrier.  An object row's cell
-    is outside when q does not contain it."""
-    if mode not in _ALGEBRA:
+    >= 0 or inf, fuzz in [0, 1], pace a rank 0-3; a bit layout's code has
+    no bit past the layout and each chain field a prefix of bits.  NaN is
+    outside every carrier.  nat's and an object row's cell is outside
+    when q does not contain it."""
+    if _holds_payloads(mode):
         return np.frompyfunc(lambda v: not q.contains(v), 1, 1)(arr)
     if mode == "bool":
         return np.zeros(arr.shape, dtype=bool)
@@ -273,19 +262,19 @@ def outside(q, mode, arr):
     inside = arr >= 0
     if q.kind in ("fuzz", "pace"):
         inside &= arr <= (1.0 if q.kind == "fuzz" else 3.0)
-    if q.kind in ("nat", "pace"):
+    if q.kind == "pace":
         inside &= np.floor(arr) == arr
     return ~inside
 
 
 def as_array(q, table):
-    """(mode, array): table cast to the dtype of q's mode when it is an
-    ndarray and that mode is numeric but for products and wide; else
-    None, for payload rows."""
+    """table cast to the dtype of q's mode when it is an ndarray and that
+    mode has a numeric dtype and is no product's; else None, for payload
+    rows."""
     mode = mode_for(q)
-    numeric = mode in _ALGEBRA and mode != "wide" and q.kind != "product"
-    if isinstance(table, np.ndarray) and numeric:
-        return mode, table.astype(_ALGEBRA[mode].dtype, copy=False)
+    numeric = mode in _ALGEBRA and _ALGEBRA[mode].dtype is not object
+    if isinstance(table, np.ndarray) and numeric and q.kind != "product":
+        return table.astype(_ALGEBRA[mode].dtype, copy=False)
     return None
 
 

@@ -9,7 +9,7 @@ quantale, satisfying
 Rows index the first argument.  Bool-enriched categories are preorders;
 cost-enriched ones are generalized metric spaces.  Instances are immutable
 and validated at construction, so they are safe for shared reads; their
-memo of encoded homs is filled on first read.  A tensor or a pushforward
+encoded hom is kept on first read.  A tensor or a pushforward
 is held as its array alone, and decodes its hom on first read.
 """
 
@@ -41,17 +41,14 @@ class QCategory:
             dup = next(o for i, o in enumerate(self.objects) if o in self.objects[:i])
             raise CategoryError(f"duplicate object name {dup!r}")
         object.__setattr__(self, "_index", index)
-        # kernel mode -> hom as an array, read through _hom_array
-        object.__setattr__(self, "_arrays", {})
-        # kernel mode -> searched presentation, read through _generators
-        object.__setattr__(self, "_presentations", {})
+        object.__setattr__(self, "_array", None)  # the hom encoded, read through _hom_array
+        object.__setattr__(self, "_presentation", None)  # read through _generators
 
     def __getattr__(self, name):
         # only a category held as its array lacks its hom, until the first read
         if name != "hom":
             raise AttributeError(name)
-        mode = _fastpath.mode_for(self.quantale, _guard_rows(self))
-        object.__setattr__(self, "hom", _decode_rows(self.quantale, mode, _hom_array(self, mode)))
+        object.__setattr__(self, "hom", _decode_rows(self.quantale, _hom_array(self)))
         return self.hom
 
     def __repr__(self):
@@ -91,8 +88,8 @@ def _interface_mismatch(a: QCategory, b: QCategory):
     if xs != ys:
         first = next((x for x, y in zip(xs, ys) if x != y), xs[len(ys) :][:1] or ys[len(xs) :][:1])
         return f"object mismatch ({len(xs)} vs {len(ys)} objects; first difference {first!r})"
-    mode, tol = _fastpath.mode_for(a.quantale, _guard_rows(a), _guard_rows(b)), float_tol()
-    ha, hb, above = _hom_array(a, mode), _hom_array(b, mode), _fastpath._ALGEBRA[mode].above
+    ha, hb, tol = _hom_array(a), _hom_array(b), float_tol()
+    above = _fastpath._ALGEBRA[_fastpath.mode_for(a.quantale)].above
     cell = _fastpath._first_true(above(ha, hb, tol) | above(hb, ha, tol))
     return None if cell is None else f"hom tables differ at ({xs[cell[0]]!r}, {xs[cell[1]]!r})"
 
@@ -145,10 +142,10 @@ def check_category_axioms(q: Quantale, objects, hom):
     """
     if len(objects) == 0:
         return None
-    mode, tol = _fastpath.mode_for(q, hom), float_tol()
+    mode, tol = _fastpath.mode_for(q), float_tol()
     h = hom if isinstance(hom, np.ndarray) else _fastpath.encode(q, mode, hom)
     alg = _fastpath._ALGEBRA[mode]
-    bad = _fastpath._first_true(alg.above(_unit(q, mode), h.diagonal(), tol))
+    bad = _fastpath._first_true(alg.above(_unit(q), h.diagonal(), tol))
     if bad is not None:
         return ("identity", objects[bad[0]])
     cell = _fastpath.category_violation(mode, h, tol)
@@ -162,8 +159,7 @@ def check_category_axioms(q: Quantale, objects, hom):
 
 def _validate(cat: QCategory, context: str = ""):
     """Raise CategoryError naming a witness if cat breaks an axiom."""
-    mode = _fastpath.mode_for(cat.quantale, _guard_rows(cat))
-    witness = check_category_axioms(cat.quantale, cat.objects, _hom_array(cat, mode))
+    witness = check_category_axioms(cat.quantale, cat.objects, _hom_array(cat))
     if witness is None:
         return
     suffix = f" {context}" if context else ""
@@ -250,8 +246,6 @@ def nat_category(
     The hom counts the shortfall from n up to m; with include_inf an
     unreachable top object is appended.
     """
-    import math
-
     from .quantales import nat_quantale
 
     if cap < 0:
@@ -287,11 +281,12 @@ def pair_name(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-def _decode_rows(q: Quantale, mode, arr) -> tuple:
-    """arr's payloads as _normalize_table would return them: decode's are
-    normal already.  From OUTER_MIN_CELLS cells on, cells of one numeric
-    value share one payload object; an object row's cells are payloads."""
-    big = arr.size >= _fastpath.OUTER_MIN_CELLS
+def _decode_rows(q: Quantale, arr) -> tuple:
+    """arr, in q's mode, as the payloads _normalize_table would return:
+    decode's are normal already.  From OUTER_MIN_CELLS cells on, cells of
+    one numeric value share one payload object; nat's and an object row's
+    cells are payloads."""
+    big, mode = arr.size >= _fastpath.OUTER_MIN_CELLS, _fastpath.mode_for(q)
     return tuple(map(tuple, (_fastpath.decode_shared if big else _fastpath.decode)(q, mode, arr)))
 
 
@@ -300,40 +295,40 @@ def _leaves(cat: QCategory) -> tuple:
     return sum(map(_leaves, cat.factors), ()) if cat._tensor else (cat,)
 
 
-def _hom_array(x, mode):
-    """x's table encoded for mode, kept in x's memo of arrays.  A tensor's
-    is the outer product of its factors' arrays, so its hom is not built;
-    a table held as another mode's array is decoded first; a table with
-    no rows keeps its column count."""
-    if mode not in x._arrays:
+def _hom_array(x):
+    """x's table encoded in its carrier's mode, kept on x.  A tensor's is
+    the outer product of its factors' arrays, so its hom is not built; a
+    table with no rows keeps its column count.  Compatible handles share
+    the mode's name, or hold payloads on object rows, so an array made
+    under one serves the other."""
+    if x._array is None:
+        mode = _fastpath.mode_for(x.quantale)
         if isinstance(x, QCategory) and x._tensor:
             a, b = x.factors
-            arr = _fastpath.outer_product(mode, _hom_array(a, mode), _hom_array(b, mode))
+            arr = _fastpath.outer_product(mode, _hom_array(a), _hom_array(b))
         else:
             rows, cols = (x.hom, x) if isinstance(x, QCategory) else (x.values, x.target)
             arr = _fastpath.encode(x.quantale, mode, rows).reshape(len(rows), len(cols.objects))
-        x._arrays[mode] = arr
-    return x._arrays[mode]
+        object.__setattr__(x, "_array", arr)
+    return x._array
 
 
 def _push(x, phi):
-    """(mode, array): x's table, a category's hom or a problem's values,
-    mapped through phi, in phi.target's mode for the images.  Each distinct
-    value is mapped once, in the order of its first cell, so a failing map
-    raises where a walk over the cells would; an object row, whose payloads
-    need not be hashable or ordered, maps each cell.  An identity keeps x's array."""
-    q, mode = x.quantale, _fastpath.mode_for(x.quantale, _guard_rows(x))
-    arr = _hom_array(x, mode)
+    """x's table, a category's hom or a problem's values, mapped through
+    phi, as an array in phi.target's mode.  Each distinct value is mapped
+    once, in the order of its first cell, so a failing map raises where a
+    walk over the cells would; an object row, whose payloads need not be
+    hashable or ordered, maps each cell.  An identity keeps x's array."""
+    q, mode, arr = x.quantale, _fastpath.mode_for(x.quantale), _hom_array(x)
     if phi.kind == "identity":
-        return mode, arr
+        return arr
     if mode in _fastpath._ALGEBRA:
         values, inverse = _fastpath.distinct(arr)
         payloads = _fastpath.decode(q, mode, values[None, :])[0]
     else:
         payloads, inverse = arr.ravel().tolist(), np.arange(arr.size).reshape(arr.shape)
     images = [list(map(phi, payloads))]
-    target = _fastpath.mode_for(phi.target, images)
-    return target, _fastpath.encode(phi.target, target, images)[0][inverse]
+    return _fastpath.encode(phi.target, _fastpath.mode_for(phi.target), images)[0][inverse]
 
 
 def _hom_line(cat: QCategory, mode, i, column=False):
@@ -341,7 +336,7 @@ def _hom_line(cat: QCategory, mode, i, column=False):
     the outer product of its factors' lines, nested as _hom_array nests
     them, so the same values come out and the tensor's hom is not built."""
     if not cat._tensor:
-        h = _hom_array(cat, mode)
+        h = _hom_array(cat)
         return h[:, i] if column else h[i]
     a, b = cat.factors
     ia, ib = divmod(i, len(b.objects))
@@ -351,50 +346,33 @@ def _hom_line(cat: QCategory, mode, i, column=False):
     return outer.ravel()
 
 
-def _guard_rows(x):
-    """x's table, a category's hom or a problem's values, as mode_for's
-    nat range guard reads it, without building it: one row with its
-    largest finite value, for a tensor the sum of its leaves' (inf
-    absorbs), for a table held as its array its array's.  Other carriers
-    do not read the rows."""
-    if x.quantale.kind != "nat":
-        return ()
-    if isinstance(x, QCategory) and x._tensor:
-        finite = ([v for row in c.hom for v in row if v != math.inf] for c in _leaves(x))
-        return ((sum(max(vs, default=math.inf) for vs in finite),),)
-    table = vars(x).get("hom" if isinstance(x, QCategory) else "values")
-    if table is None:  # held as its array: its memo holds one array
-        (arr,) = x._arrays.values()
-        return ((arr[arr != math.inf].max(initial=0),),)
-    return table
-
-
-def _unit(q: Quantale, mode):
-    """q's unit encoded for mode, one cell, kept in q's memo of units."""
-    if mode not in q._units:
-        q._units[mode] = _fastpath.encode(q, mode, [[q.unit]])[0]
-    return q._units[mode]
+def _unit(q: Quantale):
+    """q's unit encoded in its mode, one cell, kept on q."""
+    if q._unit is None:
+        object.__setattr__(q, "_unit", _fastpath.encode(q, _fastpath.mode_for(q), [[q.unit]])[0])
+    return q._unit
 
 
 def _leaf_holds(c: QCategory, tol) -> bool:
     """c has a unit diagonal and passes the composition kernel within tol."""
-    q, mode = c.quantale, _fastpath.mode_for(c.quantale, _guard_rows(c))
+    mode = _fastpath.mode_for(c.quantale)
     # an object row tests the handle's own leq, which cannot split tol
     if mode not in _fastpath._ALGEBRA:
         return False
-    h, unit = _hom_array(c, mode), _unit(q, mode)
-    return (h.diagonal() == unit).all() and _fastpath.category_violation(mode, h, tol) is None
+    h = _hom_array(c)
+    return (h.diagonal() == _unit(c.quantale)).all() and _fastpath.category_violation(mode, h, tol) is None
 
 
 def _generators(c: QCategory, mode, cells: int):
-    """_fastpath.generators of c's hom in mode, searched and memoized on c
-    where the search, ceil(log2 n) + 1 products of n x n homs, costs less
-    than n passes over a table of cells cells, and so less than the dense
-    check it replaces; elsewhere c's trivial presentation, not kept."""
+    """_fastpath.generators of c's hom in mode, c's carrier's, searched
+    and memoized on c where the search, ceil(log2 n) + 1 products of n x n
+    homs, costs less than n passes over a table of cells cells, and so
+    less than the dense check it replaces; elsewhere c's trivial
+    presentation, not kept."""
     n = len(c.objects)
-    if mode not in c._presentations and n * n * ((n - 1).bit_length() + 1) < cells:
-        c._presentations[mode] = _fastpath.generators(mode, _hom_array(c, mode))
-    return c._presentations.get(mode) or _fastpath.generators(mode, _hom_array(c, mode), False)
+    if c._presentation is None and n * n * ((n - 1).bit_length() + 1) < cells:
+        object.__setattr__(c, "_presentation", _fastpath.generators(mode, _hom_array(c)))
+    return c._presentation or _fastpath.generators(mode, _hom_array(c), False)
 
 
 def tensor(c: QCategory, d: QCategory, validate: bool = True) -> QCategory:
@@ -446,10 +424,9 @@ def pushforward(
         return c
     _gate(phi, force)
     factors = c.factors and tuple(pushforward(f, phi, force, False) for f in c.factors)
-    mode, arr = _push(c, phi)
     cat = QCategory(phi.target, c.objects, None, factors)
     object.__delattr__(cat, "hom")  # decoded by __getattr__ on first read
-    cat._arrays[mode] = arr
+    object.__setattr__(cat, "_array", _push(c, phi))
     if validate:
         forced = "forced unverified map " if force else ""
         _validate(cat, f"(pushforward through {forced}{phi.name})")

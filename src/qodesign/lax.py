@@ -575,7 +575,7 @@ def pushforward_problem(
     tgt = pushforward(d.target, phi, force=force, validate=validate)
     forced = "forced unverified " if force else ""
     what = f"pushforward through {forced}map {phi.name}"
-    return _array_problem(phi.target, src, tgt, *_push(d, phi), what, validate)
+    return _array_problem(phi.target, src, tgt, _push(d, phi), what, validate)
 
 
 def _hetero_gates(d1, d2, phi1, phi2, force):
@@ -613,8 +613,9 @@ def hetero_series(
     must agree at the interface: the composite's validity needs each
     problem's own bimodule property, not agreement of the two interface
     hom tables.  The result runs between the pushed endpoint categories.
-    Each operand's values are pushed as an array (_push), the interface
-    categories not at all; an identity map keeps its operand's array.
+    Each operand's values are pushed as an array in the target's mode
+    (_push), the interface categories not at all; an identity map keeps
+    its operand's array.
     """
     _hetero_gates(d1, d2, phi1, phi2, force)
     if d1.target.objects != d2.source.objects:
@@ -625,12 +626,8 @@ def hetero_series(
     q = phi1.target
     src = pushforward(d1.source, phi1, force=force, validate=validate)
     tgt = pushforward(d2.target, phi2, force=force, validate=validate)
-    (mode, a), (mode2, b) = _push(d1, phi1), _push(d2, phi2)
-    if mode != mode2:  # nat past float64's exact integers on one side: both as objects
-        mode, a, b = q, *(_fastpath.encode(q, q, _fastpath.decode(q, m, x)).reshape(x.shape)
-                          for m, x in ((mode, a), (mode2, b)))
-    table = _fastpath.series_product(mode, a, b)
-    return _array_problem(q, src, tgt, mode, table, "heterogeneous series output", validate)
+    table = _fastpath.series_product(_fastpath.mode_for(q), _push(d1, phi1), _push(d2, phi2))
+    return _array_problem(q, src, tgt, table, "heterogeneous series output", validate)
 
 
 def hetero_parallel(

@@ -23,7 +23,7 @@ A problem holds payload rows, or an array in its carrier's kernel
 encoding (see _fastpath): build_problem takes either, and the operators
 keep the kernel's output array.  An array is checked for membership when
 the problem is made, and its payload values are decoded on first read.
-The kernels read a problem through its memo of arrays, so a chain of
+The kernels read a problem through its array, kept on it, so a chain of
 operators on arrays decodes nothing but what is read.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _fastpath
 from .categories import QCategory, _interface_mismatch, _normalize_table, tensor
-from .categories import _decode_rows, _generators, _guard_rows, _hom_array, _hom_line, _leaves
+from .categories import _decode_rows, _generators, _hom_array, _hom_line, _leaves
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
 from .values import QValue, float_tol
@@ -50,15 +50,13 @@ class DesignProblem:
     values: tuple
 
     def __post_init__(self):
-        # kernel mode -> values as an array, read through _hom_array
-        object.__setattr__(self, "_arrays", {})
+        object.__setattr__(self, "_array", None)  # the values encoded, read through _hom_array
 
     def __getattr__(self, name):
         # only an array-backed problem lacks its values, until the first read
         if name != "values":
             raise AttributeError(name)
-        (mode, arr), = self._arrays.items()
-        object.__setattr__(self, "values", _decode_rows(self.quantale, mode, arr))
+        object.__setattr__(self, "values", _decode_rows(self.quantale, self._array))
         return self.values
 
     @property
@@ -96,8 +94,7 @@ def check_bimodule(d: DesignProblem):
     """
     q = d.quantale
     nr, nf = len(d.source.objects), len(d.target.objects)
-    mode = _fastpath.mode_for(q, *map(_guard_rows, (d.source, d.target, d)))
-    v, tol = _hom_array(d, mode), float_tol()
+    mode, v, tol = _fastpath.mode_for(q), _hom_array(d), float_tol()
     # an object row tests the handle's own leq, which can neither split
     # tol over the edges nor allow for the moved table's rounding: it
     # moves along each whole category, with the loop's own products, as
@@ -111,7 +108,7 @@ def check_bimodule(d: DesignProblem):
         tol_edge = tol / max(1, sum(longest))
         if sum(passes) < nr + nf and _fastpath.edges_hold(mode, v, steps, tol_edge):
             return None
-    steps = [_hom_array(c, mode).T for c in src] + [_hom_array(c, mode) for c in tgt]
+    steps = [_hom_array(c).T for c in src] + [_hom_array(c) for c in tgt]
     alg, flag_tol = _fastpath._ALGEBRA[mode], tol
     if v.dtype == float and (len(steps) > 2 or mode == "luk"):
         # moved multiplies a tensor's leaves in another order than the terms
@@ -153,21 +150,21 @@ def _make_problem(q, source, target, rows, what, validate=True):
     return _checked(DesignProblem(source, target, values), what, validate)
 
 
-def _array_problem(q, source, target, mode, arr, what, validate=True):
-    """A problem held as arr, in kernel mode, checked for shape and
+def _array_problem(q, source, target, arr, what, validate=True):
+    """A problem held as arr, in q's kernel mode, checked for shape and
     membership, and as a bimodule when validate is set.  Its values are
     decoded on first read."""
     rs, fs = source.objects, target.objects
     if arr.shape != (len(rs), len(fs)):
         raise ProblemError(f"expected a {len(rs)}x{len(fs)} value array, got {arr.shape}")
-    bad = _fastpath._first_true(_fastpath.outside(q, mode, arr))
+    bad = _fastpath._first_true(_fastpath.outside(q, _fastpath.mode_for(q), arr))
     if bad is not None:  # the payload path's error for the first bad cell
         i, j = bad
         cell = arr[i : i + 1, j : j + 1].tolist()
         _normalize_table(q, rs[i : i + 1], fs[j : j + 1], cell, ProblemError, noun="value row")
     d = DesignProblem(source, target, None)
     object.__delattr__(d, "values")  # decoded by __getattr__ on first read
-    d._arrays[mode] = arr
+    object.__setattr__(d, "_array", arr)
     return _checked(d, what, validate)
 
 
@@ -181,8 +178,9 @@ def build_problem(
 
     source and target must be enriched in the same quantale.  values are
     payload rows, or a numpy array in the carrier's kernel encoding: floats
-    for cost, nat and fuzz, pace ranks 0-3, bools, or uint64 bitsets whose
-    bit i is the powerset's i-th base name.  check_bimodule tests every
+    for cost and fuzz, pace ranks 0-3, bools, or uint64 bitsets whose bit i
+    is the powerset's i-th base name.  Any other array, such as a nat one,
+    is read as the payload rows of its tolist().  check_bimodule tests every
     move of every cell and names a witness on failure.
     """
     if not compatible(source.quantale, target.quantale):
@@ -191,9 +189,10 @@ def build_problem(
             f"{target.quantale.name}"
         )
     q, arr = source.quantale, _fastpath.as_array(source.quantale, values)
-    if arr is None:
-        return _make_problem(q, source, target, values, "problem", validate)
-    return _array_problem(q, source, target, *arr, "problem", validate)
+    if arr is not None:
+        return _array_problem(q, source, target, arr, "problem", validate)
+    rows = values.tolist() if isinstance(values, np.ndarray) else values
+    return _make_problem(q, source, target, rows, "problem", validate)
 
 
 def evaluate(d: DesignProblem, r: str, f: str) -> QValue:
@@ -211,9 +210,7 @@ def identity_problem(c: QCategory, validate: bool = True) -> DesignProblem:
     This transpose orientation is the series unit; composing with it on
     either side leaves any problem unchanged.
     """
-    q = c.quantale
-    mode = _fastpath.mode_for(q, _guard_rows(c))
-    return _array_problem(q, c, c, mode, _hom_array(c, mode).T, "identity problem", validate)
+    return _array_problem(c.quantale, c, c, _hom_array(c).T, "identity problem", validate)
 
 
 def _require_same_interface(a: QCategory, b: QCategory, what: str):
@@ -232,9 +229,8 @@ def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Desig
     q = d1.quantale
     if not compatible(q, d2.quantale):
         raise CompositionError("series: problems over different quantales")
-    mode = _fastpath.mode_for(q, *map(_guard_rows, (d1.source, d2.target, d1, d2)))
-    table = _fastpath.series_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
-    return _array_problem(q, d1.source, d2.target, mode, table, "series output", validate)
+    table = _fastpath.series_product(_fastpath.mode_for(q), _hom_array(d1), _hom_array(d2))
+    return _array_problem(q, d1.source, d2.target, table, "series output", validate)
 
 
 def series_breakdown(d1: DesignProblem, d2: DesignProblem, r: str, f: str):
@@ -261,9 +257,8 @@ def parallel(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Des
         raise CompositionError("parallel: problems over different quantales")
     src = tensor(d1.source, d2.source, validate=False)
     tgt = tensor(d1.target, d2.target, validate=False)
-    mode = _fastpath.mode_for(q, *map(_guard_rows, (src, tgt, d1, d2)))
-    table = _fastpath.outer_product(mode, _hom_array(d1, mode), _hom_array(d2, mode))
-    return _array_problem(q, src, tgt, mode, table, "parallel output", validate)
+    table = _fastpath.outer_product(_fastpath.mode_for(q), _hom_array(d1), _hom_array(d2))
+    return _array_problem(q, src, tgt, table, "parallel output", validate)
 
 
 def _trace_factors(d: DesignProblem, loop: QCategory):
@@ -288,10 +283,9 @@ def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignPro
     r_cat, f_cat = _trace_factors(d, loop)
     q = d.quantale
     nr, nm, nf = len(r_cat.objects), len(loop.objects), len(f_cat.objects)
-    mode = _fastpath.mode_for(q, *map(_guard_rows, (r_cat, f_cat, d, loop)))
-    d4 = _hom_array(d, mode).reshape(nr, nm, nf, nm)
-    table = _fastpath.trace_values(mode, d4, _hom_array(loop, mode))
-    return _array_problem(q, r_cat, f_cat, mode, table, "trace output", validate)
+    d4 = _hom_array(d).reshape(nr, nm, nf, nm)
+    table = _fastpath.trace_values(_fastpath.mode_for(q), d4, _hom_array(loop))
+    return _array_problem(q, r_cat, f_cat, table, "trace output", validate)
 
 
 def pareto_front(d: DesignProblem, f: str):

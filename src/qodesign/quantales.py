@@ -65,7 +65,12 @@ class Quantale:
     _elements: tuple = None
     _sample: Callable[[Random], Any] = None
     _format: Callable[[Any], str] = None
-    _units: dict = field(default_factory=dict, init=False)  # kernel mode -> unit, encoded
+    # the kernel layer's memos (_fastpath), set in __init__ so that filling
+    # one adds no key to the instance dict: the bit layout (False until
+    # read, None for none), the object row and the unit, encoded
+    _layout: Any = field(default_factory=lambda: False, init=False)
+    _object_row: Any = field(default_factory=lambda: None, init=False)
+    _unit: Any = field(default_factory=lambda: None, init=False)
 
     def __repr__(self):
         return f"Quantale({self.name!r}, kind={self.kind!r})"

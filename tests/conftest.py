@@ -160,6 +160,30 @@ def loop_axioms(q, objects, hom):
     return None
 
 
+def oracle_series(d1, d2):
+    """series' oracle: the join over the interface of d1's and d2's
+    values multiplied, one carrier operation per term."""
+    q = d1.quantale
+    return [[q.join(q.mult(a, d2.values[k][f]) for k, a in enumerate(row))
+             for f in range(len(d2.target.objects))] for row in d1.values]
+
+
+def oracle_parallel(d1, d2):
+    """parallel's oracle: every pair of values multiplied, in tensor order."""
+    q = d1.quantale
+    return [[q.mult(a, b) for a in r1 for b in r2] for r1 in d1.values for r2 in d2.values]
+
+
+def oracle_trace(d, loop):
+    """trace's oracle: the join over loop pairs (m, m') of d's value at
+    ((r, m), (f, m')) times loop's hom(m, m')."""
+    q, nm = d.quantale, len(loop.objects)
+    nr, nf = len(d.source.factors[0].objects), len(d.target.factors[0].objects)
+    return [[q.join(q.mult(d.values[r * nm + m][f * nm + m2], loop.hom[m][m2])
+                    for m in range(nm) for m2 in range(nm))
+             for f in range(nf)] for r in range(nr)]
+
+
 def pushforward_cells(x, phi):
     """pushforward's oracle: phi applied to each cell of x's hom, one call
     per cell, factors pushed the same way.  A problem's values map the

@@ -71,16 +71,22 @@ def test_array_built_values_decode_as_the_payload_path(rng, sizes):
         q = mk()
         cr, cf = random_category(q, rng, lo, hi), random_category(q, rng, lo, hi)
         rows = random_problem(cr, cf, rng).values
-        mode = _fastpath.mode_for(q, rows)
+        mode = _fastpath.mode_for(q)
         arr = _fastpath.encode(q, mode, rows)
         want = {"product": ("bits", np.uint64), "powerset64": ("wide", object)}
+        want.update(nat=("nat", object), nat_huge=("nat", object))
         if name in want or mode not in _fastpath._ALGEBRA:
-            # payload rows alone build these: products, wide and object rows
+            # payload rows alone build these: products, wide, nat and object rows
             assert (mode, arr.dtype) == want.get(name, (q, object)), name
-            assert name in want or name in ("product_cost", "nat_huge"), name
+            assert name in want or name == "product_cost", name
             _exactly(_fastpath.decode(q, mode, arr), rows)
-            if name in want:  # an array of codes is no payload rows
+            if name in want:
                 assert _fastpath.as_array(q, arr) is None
+            if mode == "nat":  # an array of nats is read as its payload rows
+                exact = [arr] + [arr.astype(float)] * (name == "nat")
+                for x in exact:
+                    _exactly(build_problem(cr, cf, x, validate=False).values, rows)
+            elif name in want:  # an array of codes is no payload rows
                 with pytest.raises(ProblemError):
                     build_problem(cr, cf, arr, validate=False)
             continue
@@ -111,11 +117,10 @@ def test_operator_outputs_decode_as_the_payload_path(rng):
             "hetero_series": hetero_series(d, identity_problem(d.target), keep, keep),
         }
         for op, out in outputs.items():
-            # the operator and its check ran in one mode: nothing was decoded,
-            # not even where huge nat categories send both to the object row
-            (mode, arr), = out._arrays.items()
+            # the operator and its check ran in its carrier's one mode:
+            # nothing was decoded, not even huge nats
             assert "values" not in vars(out), (name, op)
-            want = _decoded(q, out.source, out.target, mode, arr)
+            want = _decoded(q, out.source, out.target, _fastpath.mode_for(q), out._array)
             twin = DesignProblem(out.source, out.target, want)
             assert hash(out) == hash(twin) and out == twin, (name, op)
             _exactly(out.values, want)
@@ -129,8 +134,8 @@ def test_array_built_problem_checks_as_its_payload_twin(rng):
             cr = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
             cf = tensor(random_category(q, rng, 2, 3), random_category(q, rng, 2, 3))
             twin = random_raw_problem(cr, cf, rng)
-            arr = _fastpath.encode(q, _fastpath.mode_for(q, twin.values), twin.values)
-            if _fastpath.as_array(q, arr) is None:  # a product's array is no values
+            arr = _fastpath.encode(q, _fastpath.mode_for(q), twin.values)
+            if _fastpath.as_array(q, arr) is None:  # a product's or nat's array is no kernel array
                 continue
             a = build_problem(cr, cf, arr, validate=False)
             assert check_bimodule(a) == check_bimodule(twin), name
@@ -150,6 +155,7 @@ def test_array_built_problem_checks_as_its_payload_twin(rng):
 
 
 def test_array_backed_nat_past_the_exact_bound_runs_the_object_row(monkeypatch):
+    # nat runs one mode at every size: min-plus on object arrays of ints
     q = nat_quantale()
     c = nat_grid_category([0, 1, 2], q)
     ident, kernels = identity_problem(c), []
@@ -158,17 +164,16 @@ def test_array_backed_nat_past_the_exact_bound_runs_the_object_row(monkeypatch):
         monkeypatch.setattr(
             _fastpath, name, lambda *a, _f=original: kernels.append(a) or _f(*a)
         )
-    d = build_problem(c, c, np.full((3, 3), float(2**51)))  # constant: monotone
-    out = series(d, ident)
-    assert [a[0] for a in kernels] == [q] * 3  # d's check, series, out's check
-    arrays = [x for a in kernels for arg in a[1:3] for x in (arg if type(arg) is list else [arg])]
-    assert all(arr.dtype == object for arr in arrays)  # moved's steps are a list
-    assert "values" not in vars(out) and list(out._arrays) == [q]
-    assert out.values == ((2**51,) * 3,) * 3 and type(out.values[0][0]) is int
-    kernels.clear()
-    below = build_problem(c, c, np.full((3, 3), float(2**51 - 1)))
-    assert "values" not in vars(series(below, ident))
-    assert kernels and all(a[0] == "minplus" for a in kernels)
+    for v in (2**51 - 1, 2**51):
+        kernels.clear()
+        d = build_problem(c, c, np.full((3, 3), float(v)))  # constant: monotone
+        assert type(d.values[0][0]) is int  # a nat array is read as its payload rows
+        out = series(d, ident)
+        assert [a[0] for a in kernels] == ["nat"] * 3  # d's check, series, out's check
+        arrays = [x for a in kernels for arg in a[1:3] for x in (arg if type(arg) is list else [arg])]
+        assert all(arr.dtype == object for arr in arrays)  # moved's steps are a list
+        assert "values" not in vars(out) and out._array.dtype == object
+        assert out.values == ((v,) * 3,) * 3 and type(out.values[0][0]) is int
 
 
 MEMBERSHIP_CASES = [
@@ -191,7 +196,8 @@ def test_array_membership_errors_match_the_payload_path(case):
     arr[1, 2] = arr[1, 0] = bad  # the first bad cell in row-major order is (r1, f0)
     with pytest.raises(ProblemError) as got:
         build_problem(cr, cf, arr, validate=False)
-    rows = [[q.bottom] * 3, [arr[1, 0].item(), q.bottom, arr[1, 2].item()]]
+    bad_row = arr[1].tolist()  # an object array's cells are no numpy scalars
+    rows = [[q.bottom] * 3, [bad_row[0], q.bottom, bad_row[2]]]
     with pytest.raises(ProblemError) as want:
         build_problem(cr, cf, rows, validate=False)
     assert str(got.value) == str(want.value)

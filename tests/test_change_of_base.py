@@ -78,9 +78,9 @@ def _check_push(x, phi):
     """_push(x, phi) decodes to the oracle's payloads, type for type."""
     want = pushforward_cells(x, phi)
     want = getattr(want, "hom", want)
-    mode, arr = _push(x, phi)
+    arr, mode = _push(x, phi), _fastpath.mode_for(phi.target)
     assert arr.shape == (len(want), len(want[0]) if want else arr.shape[1])
-    assert mode == _fastpath.mode_for(phi.target, want)
+    assert arr.dtype == _fastpath._ALGEBRA[mode].dtype
     _exactly(_fastpath.decode(phi.target, mode, arr), want)
 
 
@@ -114,39 +114,48 @@ def test_push_keeps_signed_zero_infinity_and_huge_nats():
     ):
         _check_push(cat, phi)
         _exactly(pushforward(cat, phi).hom, pushforward_cells(cat, phi).hom)
-    # images from 2**51 on are past float64's exact integers: the object row
+    # images from 2**51 on are past float64's exact integers: nat's one
+    # mode keeps them as Python ints
     n = nat_quantale()
     cat = nat_grid_category([0, 2**48, 2**50, 2**50 + 1])
     phi = builtin_lax("scale", n, n, factor=4)
-    mode, arr = _push(cat, phi)
-    assert _fastpath.mode_for(n, cat.hom) == "minplus" and mode not in _fastpath._ALGEBRA
+    assert _fastpath.mode_for(n) == "nat" and _push(cat, phi).dtype == object
     assert max(v for row in pushforward(cat, phi).hom for v in row if v != math.inf) == 2**52 + 4
     _check_push(cat, phi)
 
 
 def test_hetero_series_puts_mixed_nat_modes_on_the_object_row():
-    # keep leaves d1 in minplus, scale pushes d2 past 2**51: both operands
-    # of the series then run on the object row, exact as Python ints
+    # keep leaves d1 small, scale pushes d2 past 2**51: both operands of
+    # the series run nat's one mode, exact as Python ints
     n = nat_quantale()
     r, m, f = (discrete_category(n, names) for names in ("ab", "xy", "uv"))
     d1 = build_problem(r, m, [[0, 1], [2, 3]])
     d2 = build_problem(m, f, [[2**50, 5], [1, 2**49 + 1]])
     keep, scale = builtin_lax("identity", n, n), builtin_lax("scale", n, n, factor=4)
-    assert _push(d1, keep)[0] == "minplus" and _push(d2, scale)[0] not in _fastpath._ALGEBRA
+    assert _push(d1, keep).dtype == _push(d2, scale).dtype == object
     got = hetero_series(d1, d2, keep, scale)
     pushed = pushforward_cells(d2, scale)
     want = [[min(a + b for a, b in zip(row, col)) for col in zip(*pushed)] for row in d1.values]
     _exactly(got.values, want)
 
 
+def test_a_check_over_a_pushed_nat_tensor_reads_its_leaves_as_arrays():
+    n = nat_quantale()
+    p = pushforward(nat_grid_category([0, 2, 5]), builtin_lax("scale", n, n, factor=3))
+    src = tensor(p, p)
+    d = build_problem(src, nat_grid_category([0, 2, 5]), [[0] * 3] * 9)
+    assert "hom" not in vars(p) and "hom" not in vars(src)
+    assert d.values == ((0,) * 3,) * 9
+
+
 def test_push_of_empty_tables():
     c, b = cost_quantale(), bool_quantale()
     phi = builtin_lax("cost_to_bool_finite", c, b)
     empty, one = build_category(c, [], []), build_category(c, ["x"], [[0.0]])
-    assert pushforward(empty, phi).hom == () and _push(empty, phi)[1].shape == (0, 0)
+    assert pushforward(empty, phi).hom == () and _push(empty, phi).shape == (0, 0)
     d = build_problem(empty, one, [])
     pushed = pushforward_problem(d, phi)
-    assert pushed.values == () and _push(d, phi)[1].shape == (0, 1)
+    assert pushed.values == () and _push(d, phi).shape == (0, 1)
 
 
 def test_table_map_missing_an_entry_fails_at_the_first_cell():

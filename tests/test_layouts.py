@@ -26,7 +26,15 @@ from qodesign import (
 )
 from qodesign import _fastpath
 
-from conftest import loop_axioms, loop_bimodule, random_category, random_problem
+from conftest import (
+    loop_axioms,
+    loop_bimodule,
+    oracle_parallel,
+    oracle_series,
+    oracle_trace,
+    random_category,
+    random_problem,
+)
 
 
 def _powerset(n):
@@ -100,37 +108,18 @@ def test_codes_round_trip_exactly(name, data):
     assert _exact_rows(_fastpath.decode_shared(q, mode, arr), rows)
 
 
-def _oracle_series(d1, d2):
-    q = d1.quantale
-    return [[q.join(q.mult(a, d2.values[k][f]) for k, a in enumerate(row))
-             for f in range(len(d2.target.objects))] for row in d1.values]
-
-
-def _oracle_parallel(d1, d2):
-    q = d1.quantale
-    return [[q.mult(a, b) for a in r1 for b in r2] for r1 in d1.values for r2 in d2.values]
-
-
-def _oracle_trace(d, loop):
-    q, nm = d.quantale, len(loop.objects)
-    nr, nf = len(d.source.objects) // nm, len(d.target.objects) // nm
-    return [[q.join(q.mult(d.values[r * nm + m][f * nm + m2], loop.hom[m][m2])
-                    for m in range(nm) for m2 in range(nm))
-             for f in range(nf)] for r in range(nr)]
-
-
 @settings(max_examples=25, deadline=None)
 @given(name=layouts, seed=seeds)
 def test_operators_equal_the_oracle(name, seed):
     q, rng = LAYOUTS[name](), random.Random(seed)
     a, b, c = (random_category(q, rng, 1, 4) for _ in range(3))
     d1, d2 = random_problem(a, b, rng), random_problem(b, c, rng)
-    assert _exact_rows(series(d1, d2).values, _oracle_series(d1, d2)), name
+    assert _exact_rows(series(d1, d2).values, oracle_series(d1, d2)), name
     e = random_problem(c, a, rng)
-    assert _exact_rows(parallel(d1, e).values, _oracle_parallel(d1, e)), name
+    assert _exact_rows(parallel(d1, e).values, oracle_parallel(d1, e)), name
     loop = random_category(q, rng, 1, 3)
     d = random_problem(tensor(a, loop), tensor(c, loop), rng)
-    assert _exact_rows(trace(d, loop).values, _oracle_trace(d, loop)), name
+    assert _exact_rows(trace(d, loop).values, oracle_trace(d, loop)), name
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qodesign import (
     DesignProblem,
     ProblemError,
     QValue,
+    Quantale,
     bool_quantale,
     build_category,
     builtin_lax,
@@ -26,6 +28,8 @@ from qodesign import (
     evaluate,
     from_order,
     identity_problem,
+    make_powerset,
+    make_product,
     nat_grid_category,
     nat_quantale,
     pair_name,
@@ -44,6 +48,9 @@ from conftest import (
     close_values,
     loop_axioms,
     loop_bimodule,
+    oracle_parallel,
+    oracle_series,
+    oracle_trace,
     quantale_families,
     random_category,
     random_problem,
@@ -56,21 +63,7 @@ from qodesign.categories import _generators, _leaves
 from qodesign.quantales import broken_clone
 from qodesign.values import float_tol
 
-
-def oracle_series(d1, d2):
-    q = d1.quantale
-    out = []
-    for r in range(len(d1.source.objects)):
-        row = []
-        for f in range(len(d2.target.objects)):
-            row.append(
-                q.join(
-                    q.mult(d1.values[r][m], d2.values[m][f])
-                    for m in range(len(d1.target.objects))
-                )
-            )
-        out.append(row)
-    return out
+from test_array_problems import _exactly
 
 
 def _same(q):
@@ -228,11 +221,13 @@ HUGE = 10**17  # float64 spacing here is 16
 
 
 def test_nat_kernel_bound():
+    # nat has one mode, whatever its values: exact min-plus on Python ints
     q = nat_quantale()
-    assert _fastpath.mode_for(q, [[2**51 - 1, math.inf]]) == "minplus"
-    assert _fastpath.mode_for(q, [[0], [2**51]]) is q  # the object row
-    assert _fastpath._ALGEBRA[q].dtype is object and q not in _fastpath._ALGEBRA
-    assert _fastpath.mode_for(cost_quantale(), [[2.0**60]]) == "minplus"
+    assert _fastpath.mode_for(q) == "nat" and _fastpath._ALGEBRA["nat"].dtype is object
+    arr = _fastpath.encode(q, "nat", [[2**51 - 1, math.inf], [2**51, 2**63]])
+    assert arr.dtype == object and _fastpath.decode(q, "nat", arr) == [[2**51 - 1, math.inf], [2**51, 2**63]]
+    assert type(arr[1, 1]) is int and q not in _fastpath._ALGEBRA
+    assert _fastpath.mode_for(cost_quantale()) == "minplus"
 
 
 def test_object_row_joins_two_values_in_one_call():
@@ -280,6 +275,81 @@ def test_bimodule_check_of_huge_nats_is_exact():
     assert check_bimodule(d) is None
     bad = DesignProblem(d.source, d.target, ((HUGE + 8,), (HUGE + 10,)))
     assert check_bimodule(bad) == ("0", "1", "f", "f")
+
+
+# nats around the limits of fixed-width numbers: 2**51 (three sums stay
+# below 2**53), 2**53 (float64's last exact integer) and 2**63 (past int64)
+NEAR_BOUNDS = (0, 1, 2, math.inf) + tuple(b + k for b in (2**51, 2**53, 2**63) for k in (-1, 0, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_nats_near_the_float_bounds_equal_the_oracle(seed):
+    q = replace(nat_quantale("NatNear"), _sample=lambda rng: rng.choice(NEAR_BOUNDS))
+    rng = random.Random(seed)
+    a, b, c = (random_category(q, rng, 1, 4) for _ in range(3))
+    d1, d2, e = random_problem(a, b, rng), random_problem(b, c, rng), random_problem(c, a, rng)
+    loop = random_category(q, rng, 1, 3)
+    d = random_problem(tensor(a, loop), tensor(c, loop), rng)
+    for got, want in (
+        (series(d1, d2), oracle_series(d1, d2)),
+        (parallel(d1, e), oracle_parallel(d1, e)),
+        (trace(d, loop), oracle_trace(d, loop)),
+    ):
+        assert "values" not in vars(got)
+        assert all(type(v) is int for row in want for v in row if v != math.inf)
+        _exactly(got.values, want)
+    for x in (d, _perturbed(q, d, rng)):
+        assert check_bimodule(x) == loop_bimodule(x)
+    hom = [list(row) for row in a.hom]
+    hom[rng.randrange(len(hom))][rng.randrange(len(hom))] = q.sample(rng)
+    for h in (a.hom, hom):
+        assert check_category_axioms(q, a.objects, h) == loop_axioms(q, a.objects, h)
+
+
+def test_nat_outputs_past_the_old_bound_keep_their_one_array():
+    # 2**50 + 1 twice is past 2**51: the output and its check run nat's one
+    # mode, so the output is held as the operator's array and not decoded
+    q = nat_quantale()
+    one = discrete_category(q, ["x"])
+    d = build_problem(one, one, [[2**50 + 1]])
+    for out in (series(d, d), parallel(d, d)):
+        assert "values" not in vars(out) and out._array.dtype == object
+        assert out._array.tolist() == [[2**51 + 2]] and type(out._array[0, 0]) is int
+
+
+def _chain3():
+    """A handwritten handle of no builtin kind: the chain 0 < 1 < 2 under min."""
+    return Quantale(
+        "Chain3", "chain3", unit=2, bottom=0, top=2, _leq=operator.le, _join2=max,
+        _mult=min, _contains=lambda x: x in (0, 1, 2), _elements=(0, 1, 2),
+    )
+
+
+def test_kernels_add_no_key_to_a_handle():
+    # the layout, the object row and the encoded unit are declared fields:
+    # filling them keeps the instance dict's keys those of a fresh handle
+    bxc = make_product((bool_quantale(), cost_quantale()), name="BxC")
+    for q in (make_powerset("abc"), bxc, _chain3()):
+        keys = list(vars(q))
+        c = chain_category(q, ["x", "y", "z"])
+        d = identity_problem(tensor(c, c))
+        series(d, d)
+        parallel(d, identity_problem(c))
+        assert q._layout is not False and q._unit is not None, q
+        assert (q._layout is None) == (q._object_row is not None), q
+        assert list(vars(q)) == keys, q
+
+
+def test_a_broken_clone_of_a_used_handle_runs_its_own_op():
+    q = _chain3()
+    c = chain_category(q, ["x", "y"])
+    d = identity_problem(c)
+    assert series(d, d).values == d.values and q._object_row is not None
+    bad = broken_clone(q, mult=lambda p, r: 0)
+    cb = build_category(bad, c.objects, c.hom, validate=False)
+    db = build_problem(cb, cb, d.values, validate=False)
+    assert series(db, db, validate=False).values == ((0, 0), (0, 0))
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -368,8 +438,8 @@ def test_tensor_bimodule_check_names_the_loop_witness(rng, monkeypatch):
 
 def test_tensor_checks_name_the_loop_witness_on_every_carrier(rng):
     # 6-9 x 6-12 objects, on both sides of OUTER_MIN_CELLS: factored on the
-    # numeric modes from 64 cells on, whole categories below and on the
-    # object rows (nat past NAT_EXACT_BELOW, the bool x cost product)
+    # numeric modes, huge nats among them, from 64 cells on, whole
+    # categories below and on the bool x cost product's object row
     for name, mk in wide_families().items():
         q = mk()
         for _ in range(2):
@@ -401,7 +471,8 @@ def test_pushed_tensor_is_checked_whole(rng):
 
 
 def test_nat_tensor_past_the_exact_bound_runs_the_object_row(monkeypatch):
-    # each factor stays below 2**51, their sum reaches it
+    # each factor stays below 2**51, their sum reaches it: the check runs
+    # nat's one mode, on object arrays, as one below the old bound does
     q = nat_quantale()
     a = nat_grid_category([0, 2**50], q)
     b = nat_grid_category([0, 1, 2**50], q)
@@ -410,15 +481,12 @@ def test_nat_tensor_past_the_exact_bound_runs_the_object_row(monkeypatch):
     d = build_problem(src, tgt, [[0] * 12 for _ in range(6)], validate=False)
     kernels = [_counting(monkeypatch, k) for k in ("edges_hold", "moved")]
     assert check_bimodule(d) == loop_bimodule(d) is None
-    assert kernels[0] == [] and [args[0] for args in kernels[1]] == [q]
-    assert all(arr.dtype == object for arr in [kernels[1][0][1], *kernels[1][0][2]])
-    assert _fastpath.mode_for(q, a.hom, b.hom) == "minplus"
-    assert _fastpath.mode_for(q, src.hom) is q  # as on the built hom
-    assert type(src.hom[0][-1]) is int and src.hom[0][-1] == 2**51  # from the object row
-    # one below the bound, the edge kernel runs
+    assert [args[0] for args in kernels[0]] == ["nat"] and kernels[1] == []
+    assert all(arr.dtype == object for arr in [kernels[0][0][1], *kernels[0][0][2]])
+    assert type(src.hom[0][-1]) is int and src.hom[0][-1] == 2**51
     low = tensor(a, nat_grid_category([0, 1, 2**50 - 1], q))
     assert check_bimodule(DesignProblem(low, tgt, d.values)) is None
-    assert kernels[0]
+    assert [args[0] for args in kernels[0]] == ["nat"] * 2
 
 
 def _steps(d, mode):
@@ -450,7 +518,7 @@ def _failing_edges(d, mode):
 def _one_edge_broken(d, rng, tries=60):
     """d with one cell replaced so that exactly one generating edge fails,
     or None when no such cell turned up."""
-    mode = _fastpath.mode_for(d.quantale, d.values)
+    mode = _fastpath.mode_for(d.quantale)
     for _ in range(tries):
         e = _perturbed(d.quantale, d, rng)
         if len(_failing_edges(e, mode)) == 1:
@@ -486,12 +554,12 @@ def test_edge_check_names_the_loop_witness_on_chains_and_grids(rng, monkeypatch)
             d = random_problem(src, tgt, rng)
             if mode not in _fastpath._ALGEBRA:
                 assert name == "product_cost" and [args[0] for args in dense_calls] == [q]
-                assert a._presentations == {}
+                assert a._presentation is None
                 e = _perturbed(q, d, rng)
                 assert check_bimodule(e) == loop_bimodule(e), name
                 continue
             assert dense_calls == [], name  # the edge test accepts closed tables
-            assert a._presentations[mode][1] == len(a.objects) - 1, name
+            assert a._presentation[1] == len(a.objects) - 1, name
             e = _one_edge_broken(d, rng)
             if e is not None:
                 broken += 1
@@ -515,7 +583,7 @@ def test_preorders_with_ties_take_the_trivial_presentation(rng):
         for d in (raw, DesignProblem(c, tgt, tuple(map(tuple, close_values(c, tgt, raw.values))))):
             want = loop_bimodule(d)
             assert check_bimodule(d) == want
-        g, longest, passes = c._presentations["bool"]  # searched, then rejected
+        g, longest, passes = c._presentation  # searched, then rejected
         assert longest == 1 and passes == 5
         assert (g == _fastpath.encode(q, "bool", c.hom)).all()
 
@@ -540,7 +608,7 @@ def test_edge_check_on_metrics_and_pushed_tensors(rng):
                 want = loop_bimodule(e)
                 assert check_bimodule(e) == want
                 verdicts.add(want is None)
-        assert "minplus" in metric._presentations and "minplus" in pushed._presentations
+        assert metric._presentation is not None and pushed._presentation is not None
     assert verdicts == {True, False}
 
 
@@ -556,12 +624,12 @@ def test_a_large_leaf_skips_the_search(monkeypatch):
     c = chain_category(q, [f"c{i}" for i in range(40)])
     searched = lambda: [g for _, g in closures if len(g) == 40]
     small = build_problem(c, chain_category(q, ["a", "b", "c"]), [[True] * 3] * 40)
-    assert searched() == [] and len(edges) == 1 and dense == [] and c._presentations == {}
+    assert searched() == [] and len(edges) == 1 and dense == [] and c._presentation is None
     identity_problem(c)
     assert len(edges) == 1 and len(dense) == 1
     wide = chain_category(q, [f"w{i}" for i in range(400)])
     build_problem(c, wide, [[True] * 400] * 40)
-    assert len(searched()) == 1 and c._presentations["bool"][1] == 39
+    assert len(searched()) == 1 and c._presentation[1] == 39
     assert check_bimodule(small) is None and len(searched()) == 1
 
 
@@ -594,8 +662,7 @@ def _stage_without_its_last_cell(task):
     from qodesign.casestudies import uav_powerset_model
 
     stage = uav_powerset_model(task).problems["stage"]
-    (arr,) = stage._arrays.values()
-    arr = arr.copy()
+    arr = stage._array.copy()
     arr.flat[np.flatnonzero(arr)[-1]] = 0
     return build_problem(stage.source, stage.target, arr, validate=False)
 
@@ -613,9 +680,9 @@ def test_failing_stage_check_builds_no_tensor_hom():
     for c in (d.source, d.target):
         n = len(c.objects)
         assert "hom" not in vars(c)
-        assert not any(arr.size >= n * n for arr in c._arrays.values())
+        assert c._array is None or c._array.size < n * n
     with pytest.raises(ProblemError, match="bimodule"):
-        build_problem(d.source, d.target, d._arrays["bits"])
+        build_problem(d.source, d.target, d._array)
 
 
 def test_failing_tiny_stage_names_the_loop_witness():
@@ -752,29 +819,9 @@ def test_outputs_keep_the_arrays_they_decoded(rng):
         d, loop = _traceable(q, rng)
         e = random_problem(random_category(q, rng, 2, 2), random_category(q, rng, 2, 2), rng)
         for out in (trace(d, loop), series(d, identity_problem(d.target)), parallel(d, e)):
-            assert out._arrays, name
-            for mode, arr in out._arrays.items():
-                fresh = _fastpath.encode(q, mode, out.values)
-                assert arr.dtype == fresh.dtype and np.array_equal(arr, fresh), name
-
-
-def oracle_trace(d, loop):
-    q = d.quantale
-    r_cat, m_src = d.source.factors
-    f_cat, _ = d.target.factors
-    nr, nm, nf = len(r_cat.objects), len(loop.objects), len(f_cat.objects)
-    out = []
-    for r in range(nr):
-        row = []
-        for f in range(nf):
-            terms = []
-            for m in range(nm):
-                for m2 in range(nm):
-                    v = d.values[r * nm + m][f * nm + m2]
-                    terms.append(q.mult(v, loop.hom[m][m2]))
-            row.append(q.join(terms))
-        out.append(row)
-    return out
+            arr = out._array
+            fresh = _fastpath.encode(q, _fastpath.mode_for(q), out.values)
+            assert arr.dtype == fresh.dtype and np.array_equal(arr, fresh), name
 
 
 def test_trace_matches_oracle(rng):
