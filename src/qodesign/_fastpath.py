@@ -24,13 +24,12 @@ handle's own mult, join2 and leq to object arrays of payloads.  Products
 with a cost, nat or fuzz factor and handwritten handles run there,
 through the same kernels as the numeric modes.
 
-encode and decode translate payload tables to and from the mode's
-arrays; decode's payloads are already in normal form, and nat's arrays
-and an object row's hold the payloads themselves.  A problem or a tensor
-hom can be held as its array alone: the operators keep their kernel's
-output array, and its payloads are decoded only when read.
-as_array and outside take an array given as values: its cast to the
-numeric mode's dtype, and the cells that encode no payload of the carrier.
+coder gives a payload's cell in the mode's array, for encode and for
+categories._rows_array, the door of payload rows; decode's payloads are
+in normal form.  nat's arrays and an object row's hold the payloads.
+Every table the package builds is held as its array and decoded when
+read.  as_array and outside take an array given as values: its cast to
+the numeric mode's dtype, and the cells that encode no carrier payload.
 
 Everything else reads one row of _ALGEBRA per mode: the elementwise
 multiplication, the join as a ufunc whose reduce folds an axis, the
@@ -40,11 +39,12 @@ tol".  One matrix product, a broadcast per block of rows, serves every
 mode; series, both checks, the closure and trace are a few lines over
 that row.
 
-category_violation returns the first violating cell in row-major order.
-moved joins every move of a table, one axis and step matrix at a time:
-with a leaf category's hom per axis, no tensor's hom is built.  The
-caller compares the result with the table and names the witness at a
-flagged cell in one vector pass.
+Below OUTER_MIN_CELLS cells a check is one broadcast of its terms, the
+first violating one in row-major order the witness: category_violation
+over (x, z, y), bimodule_violation over (r*, f*, r, f).  Larger homs
+flag by a product, and moved joins every move of a table one axis at a
+time, with a leaf category's hom per axis; the caller names the witness
+at a flagged cell in one vector pass.
 outer_product gives the values of a tensor category or a parallel
 composite.  Arrays of OUTER_MIN_CELLS or more are decoded with
 decode_shared, one payload object per distinct value; distinct gives
@@ -72,9 +72,8 @@ import numpy as np
 _PACE_RANK = {"E": 0.0, "C": 1.0, "A": 2.0, "P": 3.0}
 _PACE_BY_RANK = ("E", "C", "A", "P")
 
-# From this many cells on, decode_shared decodes each distinct value once
-# and the bimodule check tries the generating edges before moved on the
-# full homs; smaller tables take the plain decode and moved alone.
+# From this many cells on decode_shared decodes each distinct value once,
+# and the checks flag by products (see above); below, each is one broadcast.
 OUTER_MIN_CELLS = 64
 
 # The largest temporary of one block of _product and edges_hold.
@@ -112,7 +111,7 @@ def _layout(q):
         base = q.params["base"]
         index = {b: 1 << i for i, b in enumerate(base)}
         payload = lambda c: frozenset(b for i, b in enumerate(base) if c >> i & 1)
-        layout = _Layout(len(base), (), lambda v: sum(index[e] for e in v), payload)
+        layout = _Layout(len(base), (), lambda v: sum(map(index.__getitem__, v)), payload)
     elif q.kind == "product" and None not in (parts := [_layout(f) for f in q.params["factors"]]):
         offsets = (0, *itertools.accumulate(p.width for p in parts))
         fields = [(p, o, (1 << p.width) - 1) for p, o in zip(parts, offsets)]
@@ -192,22 +191,29 @@ def _holds_payloads(mode):
     return mode == "nat" or mode not in _ALGEBRA
 
 
-def encode(q, mode, rows):
+def coder(q, mode):
+    """payload -> its cell in mode's array (a bool, pace rank, float or bit
+    code), or None where the cell is the payload: nat's, an object row's."""
     if _holds_payloads(mode):
-        n, m = len(rows), len(rows[0]) if rows else 0
-        return np.fromiter((v for row in rows for v in row), object, n * m).reshape(n, m)
+        return None
     if mode == "bool":
-        return np.array([[bool(v) for v in row] for row in rows], dtype=bool)
+        return bool
     if mode in ("bits", "wide"):
-        code, cells = _layout(q).code, itertools.chain.from_iterable(rows)
+        return _layout(q).code
+    return _PACE_RANK.__getitem__ if q.kind == "pace" else float
+
+
+def encode(q, mode, rows):
+    n, m = len(rows), len(rows[0]) if rows else 0
+    code, cells = coder(q, mode), list(itertools.chain.from_iterable(rows))
+    if mode in ("bits", "wide"):
         # one code per distinct payload (frozenset() of a frozenset is itself)
-        flat = list(map(frozenset, cells) if q.kind == "powerset" else cells)
-        codes = {v: code(v) for v in set(flat)}
-        out = np.fromiter(map(codes.__getitem__, flat), _ALGEBRA[mode].dtype, len(flat))
-        return out.reshape(len(rows), len(rows[0]) if rows else 0)
-    if q.kind == "pace":
-        return np.array([[_PACE_RANK[v] for v in row] for row in rows], dtype=float)
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+        cells = list(map(frozenset, cells)) if q.kind == "powerset" else cells
+        codes = {v: code(v) for v in set(cells)}
+        cells = map(codes.__getitem__, cells)
+    elif code is not None:
+        cells = map(code, cells)
+    return np.fromiter(cells, _ALGEBRA[mode].dtype, n * m).reshape(n, m)
 
 
 def decode(q, mode, arr):
@@ -291,8 +297,10 @@ def _product(mode, a, b):
     400x400x400.  On bool it cannot wrap, and it is 19x faster than an
     int64 matmul at 512x512x512, 1.4-1.6x slower below 30x30x30."""
     alg = _ALGEBRA[mode]
+    rows = max(1, _BLOCK_BYTES // max(1, b.size * np.dtype(alg.dtype).itemsize))
+    if rows >= len(a):  # one block: no output to fill
+        return alg.join.reduce(alg.mult(a[:, :, None], b), axis=1, initial=alg.bottom)
     out = np.empty((a.shape[0], b.shape[1]), dtype=alg.dtype)
-    rows = max(1, _BLOCK_BYTES // max(1, b.size * out.itemsize))
     for i in range(0, len(a), rows):
         block = alg.mult(a[i : i + rows, :, None], b)
         out[i : i + rows] = alg.join.reduce(block, axis=1, initial=alg.bottom)
@@ -311,8 +319,28 @@ def series_product(mode, a, b):
 
 
 def category_violation(mode, h, tol):
-    """First (x, z) where some y breaks hom[x,y] * hom[y,z] <= hom[x,z]."""
-    return _first_true(_ALGEBRA[mode].above(_product(mode, h, h), h, tol))
+    """First (x, z, y) in row-major order where hom[x,y] * hom[y,z] is not
+    below hom[x,z] within tol, or None: one broadcast below OUTER_MIN_CELLS
+    cells, else one product flags (x, z) and a vector pass names y."""
+    alg = _ALGEBRA[mode]
+    if h.size < OUTER_MIN_CELLS:
+        return _first_true(alg.above(alg.mult(h[:, None, :], h.T[None]), h[:, :, None], tol))
+    cell = _first_true(alg.above(_product(mode, h, h), h, tol))
+    if cell is None:
+        return None
+    x, z = cell
+    # the bound as a slice, so that an object row keeps a tuple payload whole
+    (y,) = _first_true(alg.above(alg.mult(h[x], h[:, z]), h[x, z : z + 1], tol))
+    return x, z, y
+
+
+def bimodule_violation(mode, r, f, v, tol):
+    """First (r*, f*, r, f) in row-major order where f[f*, f] * v[r, f] *
+    r[r, r*], multiplied in that order, is not below v[r*, f*] within tol,
+    or None: all (nr * nf)**2 moves of v in one broadcast."""
+    alg = _ALGEBRA[mode]
+    terms = alg.mult(alg.mult(f[None, :, None, :], v[None, None]), r.T[:, None, :, None])
+    return _first_true(alg.above(terms, v[:, :, None, None], tol))
 
 
 def moved(mode, v, steps):
@@ -326,8 +354,6 @@ def moved(mode, v, steps):
     and, after the first axis, all of them in order.  On two axes, a
     source's and a target's, that is R^T (v F^T).
     """
-    if v.size == 0:  # reshape(-1, 0) has no answer
-        return v
     out = v
     for step in steps[:0:-1]:  # the last to the second
         out = _product(mode, out.reshape(-1, len(step)), step.T).T

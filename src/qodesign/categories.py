@@ -8,9 +8,10 @@ quantale, satisfying
 
 Rows index the first argument.  Bool-enriched categories are preorders;
 cost-enriched ones are generalized metric spaces.  Instances are immutable
-and validated at construction, so they are safe for shared reads; their
-encoded hom is kept on first read.  A tensor or a pushforward
-is held as its array alone, and decodes its hom on first read.
+and validated at construction, so they are safe for shared reads.  A
+category is held as its hom in its carrier's kernel mode (see _fastpath):
+payload rows pass one door, _rows_array, a pushforward holds its mapped
+array and a tensor its factors.  The hom is decoded on first read.
 """
 
 from __future__ import annotations
@@ -94,66 +95,66 @@ def _interface_mismatch(a: QCategory, b: QCategory):
     return None if cell is None else f"hom tables differ at ({xs[cell[0]]!r}, {xs[cell[1]]!r})"
 
 
-def _normalize_table(
+def _rows_array(
     q: Quantale, row_names, col_names, rows, error, prefix: str = "", noun: str = "row"
 ):
-    """rows as a tuple of tuples of normalized payloads, shape checked.
-
-    Each distinct payload object is normalized, and so checked for
-    membership, once: shared payloads (decode_shared's) cost one call.
-    Failures raise error naming the entry.
-    """
+    """Payload rows as an array in q's kernel mode, shape checked.  Each
+    distinct payload object is normalized, and so checked for membership,
+    once (decode_shared's shared payloads cost one call), and coded by
+    _fastpath.coder.  Failures raise error naming the entry."""
     if len(rows) != len(row_names):
         raise error(f"{prefix}expected {len(row_names)} {noun}s, got {len(rows)}")
-    n = len(col_names)
-    done = {}  # id(payload) -> normalized payload
+    n, mode = len(col_names), _fastpath.mode_for(q)
+    code = _fastpath.coder(q, mode)
+    done = {}  # id(payload) -> cell
     alive = []  # the payloads keyed in done, so that no id is reused
-    out = []
+    cells = []
     for i, row in enumerate(rows):
         row = list(row)
         if len(row) != n:
             raise error(
                 f"{prefix}{noun} for {row_names[i]!r} has {len(row)} entries, expected {n}"
             )
-        normalized = []
         for j, v in enumerate(row):
-            p = done.get(id(v))
-            if p is None:
+            c = done.get(id(v))
+            if c is None:
                 try:
-                    p = done[id(v)] = q.normalize(v)
+                    p = q.normalize(v)
                 except QuantaleError as exc:
                     raise error(
                         f"{prefix}entry ({row_names[i]!r}, {col_names[j]!r}): {exc}"
                     ) from None
+                c = done[id(v)] = p if code is None else code(p)
                 alive.append(v)
-            normalized.append(p)
-        out.append(tuple(normalized))
-    return tuple(out)
+            cells.append(c)
+    return np.fromiter(cells, _fastpath._ALGEBRA[mode].dtype).reshape(len(rows), n)
+
+
+def _held(x, arr):
+    """x held as arr: __getattr__ decodes its hom or values on first read."""
+    object.__delattr__(x, "hom" if isinstance(x, QCategory) else "values")
+    object.__setattr__(x, "_array", arr)
+    return x
 
 
 def check_category_axioms(q: Quantale, objects, hom):
     """Return None when both axioms hold, else a witness description.
 
     hom is payload rows, or a category's hom as _hom_array holds it.  The
-    witness is ("identity", x) or ("composition", x, y, z), the first in
-    (x, z, y) order: one comparison of the diagonal with the unit names x;
-    the composition kernel finds the first violating (x, z), and one vector
-    pass over the paths through each y there names y, with its products.
+    witness is ("identity", x), else the first ("composition", x, y, z) in
+    (x, z, y) order, which _fastpath.category_violation names.
     """
     if len(objects) == 0:
         return None
     mode, tol = _fastpath.mode_for(q), float_tol()
     h = hom if isinstance(hom, np.ndarray) else _fastpath.encode(q, mode, hom)
-    alg = _fastpath._ALGEBRA[mode]
-    bad = _fastpath._first_true(alg.above(_unit(q), h.diagonal(), tol))
+    bad = _fastpath._first_true(_fastpath._ALGEBRA[mode].above(_unit(q), h.diagonal(), tol))
     if bad is not None:
         return ("identity", objects[bad[0]])
     cell = _fastpath.category_violation(mode, h, tol)
     if cell is None:
         return None
-    x, z = cell
-    # the bound as a slice, so that an object row keeps a tuple payload whole
-    (y,) = _fastpath._first_true(alg.above(alg.mult(h[x], h[:, z]), h[x, z : z + 1], tol))
+    x, z, y = cell
     return ("composition", objects[x], objects[y], objects[z])
 
 
@@ -187,8 +188,8 @@ def build_category(
     raises CategoryError naming a concrete witness.
     """
     objs = tuple(str(o) for o in objects)
-    rows = _normalize_table(quantale, objs, objs, hom, CategoryError, "hom matrix: ")
-    cat = QCategory(quantale, objs, rows)
+    arr = _rows_array(quantale, objs, objs, hom, CategoryError, "hom matrix: ")
+    cat = _held(QCategory(quantale, objs, None), arr)
     if validate:
         _validate(cat)
     return cat
@@ -282,10 +283,9 @@ def pair_name(a: str, b: str) -> str:
 
 
 def _decode_rows(q: Quantale, arr) -> tuple:
-    """arr, in q's mode, as the payloads _normalize_table would return:
-    decode's are normal already.  From OUTER_MIN_CELLS cells on, cells of
-    one numeric value share one payload object; nat's and an object row's
-    cells are payloads."""
+    """arr, in q's mode, as payload rows: decode's are normal already.  From
+    OUTER_MIN_CELLS cells on, cells of one numeric value share one payload
+    object; nat's and an object row's cells are payloads."""
     big, mode = arr.size >= _fastpath.OUTER_MIN_CELLS, _fastpath.mode_for(q)
     return tuple(map(tuple, (_fastpath.decode_shared if big else _fastpath.decode)(q, mode, arr)))
 
@@ -424,9 +424,7 @@ def pushforward(
         return c
     _gate(phi, force)
     factors = c.factors and tuple(pushforward(f, phi, force, False) for f in c.factors)
-    cat = QCategory(phi.target, c.objects, None, factors)
-    object.__delattr__(cat, "hom")  # decoded by __getattr__ on first read
-    object.__setattr__(cat, "_array", _push(c, phi))
+    cat = _held(QCategory(phi.target, c.objects, None, factors), _push(c, phi))
     if validate:
         forced = "forced unverified map " if force else ""
         _validate(cat, f"(pushforward through {forced}{phi.name})")

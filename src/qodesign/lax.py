@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from . import _fastpath
 from .categories import QCategory, _gate, _push, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
-from .problems import DesignProblem, _array_problem, _make_problem
+from .problems import DesignProblem, _array_problem
 from .quantales import Quantale, compatible, make_powerset
 from .values import float_tol
 
@@ -726,20 +726,12 @@ def catalog_problem(
             raise ProblemError(
                 f"part {p.name!r} provides unknown object {p.provides!r}"
             )
-    vals = []
-    for r in requires_in.objects:
-        row = []
-        for f in provides_in.objects:
-            row.append(
-                frozenset(
-                    p.name
-                    for p in catalog.parts
-                    if requires_in.hom_payload(p.requires, r)
-                    and provides_in.hom_payload(f, p.provides)
-                )
-            )
-        vals.append(row)
-    return _make_problem(pq, src, tgt, vals, "catalog problem")
+    vals = [
+        [frozenset(p.name for p in catalog.parts if requires_in.hom_payload(p.requires, r)
+                   and provides_in.hom_payload(f, p.provides)) for f in provides_in.objects]
+        for r in requires_in.objects
+    ]
+    return _array_problem(pq, src, tgt, vals, "catalog problem")
 
 
 def implementation_series_problems(

@@ -19,12 +19,13 @@ a shared source/target factor.  Outputs of the operators on validated
 inputs are validated by construction (closure); validation can be
 switched off on hot paths and is always exercised by the property tests.
 
-A problem holds payload rows, or an array in its carrier's kernel
-encoding (see _fastpath): build_problem takes either, and the operators
-keep the kernel's output array.  An array is checked for membership when
-the problem is made, and its payload values are decoded on first read.
-The kernels read a problem through its array, kept on it, so a chain of
-operators on arrays decodes nothing but what is read.
+A problem is held as an array in its carrier's kernel encoding (see
+_fastpath).  build_problem takes payload rows, which the row door
+(categories._rows_array) normalizes into that array once, or an array,
+which is checked for membership; the operators keep the kernel's output
+array.  Payload values are decoded on first read, so a chain of
+operators decodes nothing but what is read.  A table under
+OUTER_MIN_CELLS cells is checked in one broadcast of all its moves.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _fastpath
-from .categories import QCategory, _interface_mismatch, _normalize_table, tensor
-from .categories import _decode_rows, _generators, _hom_array, _hom_line, _leaves
+from .categories import QCategory, _interface_mismatch, tensor
+from .categories import _decode_rows, _generators, _held, _hom_array, _hom_line, _leaves
+from .categories import _rows_array
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
 from .values import QValue, float_tol
@@ -76,37 +78,34 @@ class DesignProblem:
 def check_bimodule(d: DesignProblem):
     """First witness (r, r*, f, f*) violating the direct condition, or None.
 
-    Witnesses are searched in (r*, f*, r, f) order.  A move of a cell is a
-    move along each leaf category of the source and the target in turn
-    (categories._leaves; a category that is not a tensor is its own leaf).
-    From OUTER_MIN_CELLS cells on, on a numeric mode, the check first tests
-    the moves along the generating edges of each leaf (_generators), where
-    that is fewer passes over the table than the nr + nf of the full homs.
-    The table passes when each edge holds within tol over the sum of the
-    leaves' longest paths; a leaf without a presentation found has every
-    pair as an edge, of length 1, which is one full product per leaf.
-    Otherwise _fastpath.moved joins the moves along each leaf's full hom,
-    so no tensor's hom is built; smaller tables and object rows move along
-    the whole source and target.  Each cell it flags, in row-major order,
-    is an (r*, f*): one vector pass over the terms hom_F(f*, f) * d(r, f) *
-    hom_R(r, r*), multiplied in that order, names the first (r, f) above
-    d(r*, f*), or none, where only moved's order of rounding flagged it.
+    The witness is the first term hom_F(f*, f) * d(r, f) * hom_R(r, r*),
+    multiplied in that order, above d(r*, f*) in (r*, f*, r, f) order.
+    Below OUTER_MIN_CELLS cells one broadcast forms every term
+    (_fastpath.bimodule_violation).  From there on a move of a cell is a
+    move along each leaf category (categories._leaves) in turn.  On a
+    numeric mode the moves along the generating edges of each leaf
+    (_generators) are tested first, each within tol over the sum of the
+    leaves' longest paths, where that is fewer passes than the nr + nf of
+    the full homs.  Otherwise _fastpath.moved joins the moves along each
+    leaf's full hom (object rows: the whole source and target), and one
+    vector pass over the terms of each cell it flags names the first
+    (r, f), or none, where only moved's order of rounding flagged it.
     """
-    q = d.quantale
-    nr, nf = len(d.source.objects), len(d.target.objects)
-    mode, v, tol = _fastpath.mode_for(q), _hom_array(d), float_tol()
-    # an object row tests the handle's own leq, which can neither split
-    # tol over the edges nor allow for the moved table's rounding: it
-    # moves along each whole category, with the loop's own products, as
-    # do small tables, where a leaf's product costs more than it saves
-    factored = nr * nf >= _fastpath.OUTER_MIN_CELLS and mode in _fastpath._ALGEBRA
+    rn, fn = d.source.objects, d.target.objects
+    mode, v, tol = _fastpath.mode_for(d.quantale), _hom_array(d), float_tol()
+    if v.size < _fastpath.OUTER_MIN_CELLS:
+        hit = _fastpath.bimodule_violation(mode, _hom_array(d.source), _hom_array(d.target), v, tol)
+        return None if hit is None else (rn[hit[2]], rn[hit[0]], fn[hit[3]], fn[hit[1]])
+    # an object row's own leq can neither split tol over the edges nor
+    # allow for the moved table's rounding
+    factored = mode in _fastpath._ALGEBRA
     src, tgt = (_leaves(d.source), _leaves(d.target)) if factored else ((d.source,), (d.target,))
     if factored:
-        g, longest, passes = zip(*(_generators(c, mode, nr * nf) for c in src + tgt))
+        g, longest, passes = zip(*(_generators(c, mode, v.size) for c in src + tgt))
         # a source leaf moves a to a* by hom(a, a*), a target leaf by hom(a*, a)
         steps = [x.T for x in g[: len(src)]] + list(g[len(src) :])
         tol_edge = tol / max(1, sum(longest))
-        if sum(passes) < nr + nf and _fastpath.edges_hold(mode, v, steps, tol_edge):
+        if sum(passes) < len(rn) + len(fn) and _fastpath.edges_hold(mode, v, steps, tol_edge):
             return None
     steps = [_hom_array(c).T for c in src] + [_hom_array(c) for c in tgt]
     alg, flag_tol = _fastpath._ALGEBRA[mode], tol
@@ -118,20 +117,32 @@ def check_bimodule(d: DesignProblem):
         flag_tol = tol - np.minimum(slack, tol / 2)
     flagged = alg.above(_fastpath.moved(mode, v, steps), v, flag_tol)
     for cell in flagged.ravel().nonzero()[0].tolist():
-        rs, fs = divmod(cell, nf)
+        rs, fs = divmod(cell, len(fn))
         f_row = _hom_line(d.target, mode, fs)[None, :]
         r_col = _hom_line(d.source, mode, rs, column=True)[:, None]
         terms = alg.mult(alg.mult(f_row, v), r_col)
         hit = _fastpath._first_true(alg.above(terms, v[rs, fs : fs + 1], tol))
         if hit is not None:
-            (r, f), rn, fn = hit, d.source.objects, d.target.objects
-            return (rn[r], rn[rs], fn[f], fn[fs])
+            return (rn[hit[0]], rn[rs], fn[hit[1]], fn[fs])
     return None
 
 
-def _checked(d: DesignProblem, what: str, validate: bool = True) -> DesignProblem:
-    """d, after raising ProblemError naming what and the witness if
-    validate is set and d is no bimodule."""
+def _array_problem(q, source, target, table, what, validate=True):
+    """A problem held as table in q's kernel mode, checked as a bimodule if
+    validate is set.  Payload rows pass the door, categories._rows_array;
+    an array is checked here for shape and membership."""
+    rs, fs = source.objects, target.objects
+    if not isinstance(table, np.ndarray):
+        table = _rows_array(q, rs, fs, table, ProblemError, noun="value row")
+    elif table.shape != (len(rs), len(fs)):
+        raise ProblemError(f"expected a {len(rs)}x{len(fs)} value array, got {table.shape}")
+    else:
+        bad = _fastpath._first_true(_fastpath.outside(q, _fastpath.mode_for(q), table))
+        if bad is not None:  # the payload path's error for the first bad cell
+            i, j = bad
+            cell = table[i : i + 1, j : j + 1].tolist()
+            _rows_array(q, rs[i : i + 1], fs[j : j + 1], cell, ProblemError, noun="value row")
+    d = _held(DesignProblem(source, target, None), table)
     witness = check_bimodule(d) if validate else None
     if witness is not None:
         r, rs, f, fs = witness
@@ -140,32 +151,6 @@ def _checked(d: DesignProblem, what: str, validate: bool = True) -> DesignProble
             f"to ({rs!r}, {fs!r}) is not monotone"
         )
     return d
-
-
-def _make_problem(q, source, target, rows, what, validate=True):
-    """A problem over source and target with rows normalized into its
-    values, checked when validate is set."""
-    rs, fs = source.objects, target.objects
-    values = _normalize_table(q, rs, fs, rows, ProblemError, noun="value row")
-    return _checked(DesignProblem(source, target, values), what, validate)
-
-
-def _array_problem(q, source, target, arr, what, validate=True):
-    """A problem held as arr, in q's kernel mode, checked for shape and
-    membership, and as a bimodule when validate is set.  Its values are
-    decoded on first read."""
-    rs, fs = source.objects, target.objects
-    if arr.shape != (len(rs), len(fs)):
-        raise ProblemError(f"expected a {len(rs)}x{len(fs)} value array, got {arr.shape}")
-    bad = _fastpath._first_true(_fastpath.outside(q, _fastpath.mode_for(q), arr))
-    if bad is not None:  # the payload path's error for the first bad cell
-        i, j = bad
-        cell = arr[i : i + 1, j : j + 1].tolist()
-        _normalize_table(q, rs[i : i + 1], fs[j : j + 1], cell, ProblemError, noun="value row")
-    d = DesignProblem(source, target, None)
-    object.__delattr__(d, "values")  # decoded by __getattr__ on first read
-    object.__setattr__(d, "_array", arr)
-    return _checked(d, what, validate)
 
 
 def build_problem(
@@ -188,11 +173,10 @@ def build_problem(
             f"source over {source.quantale.name} but target over "
             f"{target.quantale.name}"
         )
-    q, arr = source.quantale, _fastpath.as_array(source.quantale, values)
-    if arr is not None:
-        return _array_problem(q, source, target, arr, "problem", validate)
-    rows = values.tolist() if isinstance(values, np.ndarray) else values
-    return _make_problem(q, source, target, rows, "problem", validate)
+    table = _fastpath.as_array(source.quantale, values)
+    if table is None:
+        table = values.tolist() if isinstance(values, np.ndarray) else values
+    return _array_problem(source.quantale, source, target, table, "problem", validate)
 
 
 def evaluate(d: DesignProblem, r: str, f: str) -> QValue:

@@ -27,7 +27,10 @@ from qodesign import (
     make_product,
     nat_quantale,
     pace_quantale,
+    pair_name,
+    tensor,
 )
+from qodesign.errors import QuantaleError
 
 
 def quantale_families():
@@ -118,6 +121,38 @@ def random_raw_problem(cr: QCategory, cf: QCategory, rng: random.Random):
     return DesignProblem(cr, cf, tuple(tuple(r) for r in raw))
 
 
+def normalize_table(q, row_names, col_names, rows, error, prefix="", noun="row"):
+    """The row door's oracle (categories._rows_array): rows as a tuple of
+    tuples of normalized payloads, shape checked.  Each distinct payload
+    object is normalized once; failures raise error naming the entry."""
+    if len(rows) != len(row_names):
+        raise error(f"{prefix}expected {len(row_names)} {noun}s, got {len(rows)}")
+    n = len(col_names)
+    done = {}  # id(payload) -> normalized payload
+    alive = []  # the payloads keyed in done, so that no id is reused
+    out = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        if len(row) != n:
+            raise error(
+                f"{prefix}{noun} for {row_names[i]!r} has {len(row)} entries, expected {n}"
+            )
+        normalized = []
+        for j, v in enumerate(row):
+            p = done.get(id(v))
+            if p is None:
+                try:
+                    p = done[id(v)] = q.normalize(v)
+                except QuantaleError as exc:
+                    raise error(
+                        f"{prefix}entry ({row_names[i]!r}, {col_names[j]!r}): {exc}"
+                    ) from None
+                alive.append(v)
+            normalized.append(p)
+        out.append(tuple(normalized))
+    return tuple(out)
+
+
 def loop_bimodule(d: DesignProblem):
     """check_bimodule's oracle: the first witness (r, r*, f, f*) in
     (r*, f*, r, f) order, one carrier operation per quadruple."""
@@ -193,6 +228,20 @@ def pushforward_cells(x, phi):
     factors = x.factors and tuple(pushforward_cells(f, phi) for f in x.factors)
     hom = tuple(tuple(phi(v) for v in row) for row in x.hom)
     return QCategory(phi.target, x.objects, hom, factors)
+
+
+def relabel_problem(x: QCategory, y: QCategory, name_map) -> DesignProblem:
+    """The identity along an object bijection: a problem from x to y, where
+    name_map sends each object of x to the object of y it stands for, with
+    hom_y(m(a), m(b)) = hom_x(a, b).  Its value at (a, b) is hom_y(b, m(a)),
+    the identity problem's value read through the bijection."""
+    return build_problem(x, y, [[y.hom_payload(b, name_map[a]) for b in y.objects] for a in x.objects])
+
+
+def symmetry_problem(a: QCategory, b: QCategory) -> DesignProblem:
+    """The symmetry a (x) b -> b (x) a, which swaps the two factors."""
+    swap = {pair_name(x, y): pair_name(y, x) for x in a.objects for y in b.objects}
+    return relabel_problem(tensor(a, b), tensor(b, a), swap)
 
 
 def check_bimodule_via_hom(d: DesignProblem):

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from qodesign import (
+    CategoryError,
     DesignProblem,
     ProblemError,
+    Quantale,
     build_category,
     build_problem,
     builtin_lax,
     chain_category,
     check_bimodule,
+    discrete_category,
     identity_problem,
     make_powerset,
     nat_grid_category,
@@ -24,11 +27,11 @@ from qodesign import (
     trace,
 )
 from qodesign import _fastpath
-from qodesign.categories import _normalize_table
 from qodesign.quantales import broken_clone
 from qodesign.lax import hetero_series
 
 from conftest import (
+    normalize_table,
     quantale_families,
     random_category,
     random_problem,
@@ -51,7 +54,7 @@ def _exactly(got, want):
 def _decoded(q, source, target, mode, arr):
     """What the payload path makes of arr's decoded payloads."""
     rows = _fastpath.decode(q, mode, arr)
-    return _normalize_table(q, source.objects, target.objects, rows, ProblemError)
+    return normalize_table(q, source.objects, target.objects, rows, ProblemError)
 
 
 def _with_edge_values(q, mode, arr):
@@ -158,20 +161,24 @@ def test_array_backed_nat_past_the_exact_bound_runs_the_object_row(monkeypatch):
     # nat runs one mode at every size: min-plus on object arrays of ints
     q = nat_quantale()
     c = nat_grid_category([0, 1, 2], q)
-    ident, kernels = identity_problem(c), []
-    for name in ("moved", "series_product", "edges_hold"):
+    ident, kernels, names = identity_problem(c), [], []
+    for name in ("bimodule_violation", "moved", "series_product", "edges_hold"):
         original = getattr(_fastpath, name)
         monkeypatch.setattr(
-            _fastpath, name, lambda *a, _f=original: kernels.append(a) or _f(*a)
+            _fastpath, name,
+            lambda *a, _f=original, _n=name: names.append(_n) or kernels.append(a) or _f(*a),
         )
     for v in (2**51 - 1, 2**51):
         kernels.clear()
+        names.clear()
         d = build_problem(c, c, np.full((3, 3), float(v)))  # constant: monotone
         assert type(d.values[0][0]) is int  # a nat array is read as its payload rows
         out = series(d, ident)
         assert [a[0] for a in kernels] == ["nat"] * 3  # d's check, series, out's check
         arrays = [x for a in kernels for arg in a[1:3] for x in (arg if type(arg) is list else [arg])]
         assert all(arr.dtype == object for arr in arrays)  # moved's steps are a list
+        # the checks of 9 cells are one broadcast each
+        assert names == ["bimodule_violation", "series_product", "bimodule_violation"]
         assert "values" not in vars(out) and out._array.dtype == object
         assert out.values == ((v,) * 3,) * 3 and type(out.values[0][0]) is int
 
@@ -260,3 +267,85 @@ def test_identity_maps_read_their_operand_through_its_memo():
     assert calls == [] and "values" not in vars(loop)
     _exactly(got.values, want.values)
     assert got.source == want.source and got.target == want.target
+
+
+def _door_cases():
+    """name -> (carrier, 3 x 3 payload rows): aliases the door normalizes
+    (ints to float costs, integral floats to nats, lists and sets to
+    frozensets, lists to product tuples), -0.0, inf, and nats past 2**63."""
+    fams = wide_families()
+    ab = ["a", "b"]  # one object in three cells: normalized once
+    return {
+        "cost": (fams["cost"](), [[0, -0.0, math.inf], [3, 2.5, 0.0], [math.inf, 1, -0.0]]),
+        "fuzz": (fams["fuzz_goguen"](), [[1, 0, 0.5], [0.25, 1.0, 0], [1, 1, 0.0]]),
+        "nat": (fams["nat"](), [[3.0, 0, math.inf], [2**63, 2**63 + 1, 7.0], [0.0, 2**70, 1]]),
+        "bool": (fams["bool"](), [[True, False, True], [False, True, False], [True, True, True]]),
+        "pace": (fams["pace"](), [["E", "C", "A"], ["P", "P", "E"], ["A", "C", "P"]]),
+        "powerset": (fams["powerset"](), [[ab, {"c"}, frozenset()], [("a",), set(), ab], [list("abc"), ab, []]]),
+        "powerset64": (fams["powerset64"](), [[["n0", "n63"], {"n5"}, []], [[], ["n63"], []], [{"n1"}] * 3]),
+        "product": (fams["product"](), [[[True, "A"], (False, "E"), [True, "P"]]] * 3),
+        "product_cost": (fams["product_cost"](), [[[True, 0], (False, math.inf), (True, 2)]] * 3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_door_cases()))
+def test_row_built_tables_decode_as_the_normalized_rows(case, monkeypatch):
+    # rows are normalized once per payload object, into the kernel array;
+    # hom and values are decoded from it on first read, type for type as
+    # the payload rows normalize
+    q, rows = _door_cases()[case]
+    objs = ("x", "y", "z")
+    calls = []
+    normalize = Quantale.normalize
+    monkeypatch.setattr(
+        Quantale, "normalize", lambda self, v: (self is q and calls.append(v)) or normalize(self, v)
+    )
+    c = build_category(q, objs, rows, validate=False)
+    assert len(calls) == len({id(v) for row in rows for v in row}), case
+    d = build_problem(discrete_category(q, objs), discrete_category(q, objs), rows, validate=False)
+    monkeypatch.undo()
+    assert "hom" not in vars(c) and "values" not in vars(d), case
+    assert c._array.dtype == d._array.dtype == _fastpath._ALGEBRA[_fastpath.mode_for(q)].dtype
+    _exactly(c.hom, normalize_table(q, objs, objs, rows, CategoryError, "hom matrix: "))
+    _exactly(d.values, normalize_table(q, objs, objs, rows, ProblemError, noun="value row"))
+
+
+def test_numpy_scalars_read_back_as_python_floats():
+    # an np.float64 is a float, so it normalizes as itself; the door writes
+    # its cell, and the decoded payload is a Python float
+    for q in (wide_families()["cost"](), wide_families()["fuzz_godel"]()):
+        c = chain_category(q, ["x"])
+        d = build_problem(c, c, [[np.float64(0.5)]])
+        assert type(normalize_table(q, ("x",), ("x",), [[np.float64(0.5)]], ProblemError)[0][0]) is np.float64
+        assert type(d.values[0][0]) is float and d.values == ((0.5,),)
+
+
+DOOR_ERRORS = [
+    ("too few rows", lambda bad, ok: [[ok] * 3] * 2),
+    ("short row", lambda bad, ok: [[ok] * 3, [ok] * 2, [ok] * 3]),
+    ("bad entries", lambda bad, ok: [[ok] * 3, [bad, ok, bad], [bad] * 3]),
+    ("bad entry before a short row", lambda bad, ok: [[ok, bad, ok], [ok], [ok] * 3]),
+    ("short row before a bad entry", lambda bad, ok: [[ok] * 3, [ok] * 4, [bad] * 3]),
+]
+
+
+@pytest.mark.parametrize("case", DOOR_ERRORS, ids=[c[0] for c in DOOR_ERRORS])
+def test_row_door_errors_match_the_oracle(case):
+    # the first of shape, row length and entry errors, in row-major order,
+    # with the normalizing oracle's text
+    _, table = case
+    objs = ("x", "y", "z")
+    bads = {"cost": -1.0, "nat": 2.5, "powerset": ["q"], "product": (True, "Z"), "product_cost": (1, 0.0)}
+    for name, bad in bads.items():
+        q = wide_families()[name]()
+        rows = table(bad, q.unit)
+        for build, error, args in (
+            (lambda: build_category(q, objs, rows), CategoryError, ("hom matrix: ",)),
+            (lambda: build_problem(chain_category(q, objs), chain_category(q, objs), rows),
+             ProblemError, ("", "value row")),
+        ):
+            with pytest.raises(error) as want:
+                normalize_table(q, objs, objs, rows, error, *args)
+            with pytest.raises(error) as got:
+                build()
+            assert str(got.value) == str(want.value), name

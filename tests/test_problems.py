@@ -27,6 +27,7 @@ from qodesign import (
     discrete_category,
     evaluate,
     from_order,
+    fuzz_quantale,
     identity_problem,
     make_powerset,
     make_product,
@@ -738,6 +739,66 @@ def test_moves_that_break_tol_by_a_rounding_name_the_loop_witness(carrier, a1, a
     assert want is not None and check_bimodule(d) == want
 
 
+@pytest.mark.parametrize("cells", [16, 64])
+@pytest.mark.parametrize(
+    "tnorm, a1, a2, b1, b2, dv, y",
+    [
+        ("lukasiewicz", 0.9038235996659274, 0.999987375926162, 0.36611422394083,
+         0.9340016559819649, 0.9044166529208246, 0.10834350743570895),
+        ("lukasiewicz", 0.9084289612569982, 0.9709235150352842, 0.2302898603288131,
+         0.9729721775348101, 0.9628623154442675, 0.045476828600173075),
+        ("goguen", 0.990502042237168, 0.6186330722471025, 0.9433873836194718,
+         0.7158437145326705, 0.5721275416787188, 0.23674981152392469),
+        ("goguen", 0.8106324188396222, 0.9734499220229706, 0.7735237747029943,
+         0.9486971711957617, 0.9130776259076105, 0.5287453426541742),
+    ],
+    ids=["luk1", "luk2", "goguen1", "goguen2"],
+)
+def test_fuzz_moves_that_break_tol_by_a_rounding_name_the_loop_witness(
+    tnorm, a1, a2, b1, b2, dv, y, cells
+):
+    # the cost ties above on two-object fuzz chains, whose t-norms round by
+    # the order of their operands: the loop's terms put a move into the
+    # raised cell above y + tol, the moves joined one axis at a time put
+    # it no higher.  A discrete target leaf of cells // 16 objects takes
+    # the table to OUTER_MIN_CELLS: one broadcast checks 16 cells, the
+    # moved kernel 64.
+    q = fuzz_quantale(tnorm)
+    leaf = lambda w, names: build_category(q, names, [[1.0, w], [0.0, 1.0]], validate=False)
+    k = cells // 16
+    src = tensor(leaf(a1, "pq"), leaf(a2, "st"), validate=False)
+    tgt = tensor(tensor(leaf(b1, "uv"), leaf(b2, "wx")), discrete_category(q, range(k)))
+    raw = [[0.0] * (4 * k) for _ in range(4)]
+    raw[0][3 * k] = dv
+    rows = close_values(src, tgt, raw)
+    rows[3][0] = y
+    d = DesignProblem(src, tgt, tuple(map(tuple, rows)))
+    want = loop_bimodule(d)
+    assert want is not None and check_bimodule(d) == want
+
+
+def test_checks_name_the_loop_witness_on_both_sides_of_the_broadcast_bound(rng, monkeypatch):
+    # 7 x 9 = 63 cells are checked in one broadcast, 8 x 8 = 64 on the
+    # edges and by the moved kernel; homs of 7 objects, 49 cells, test
+    # composition in one broadcast, of 8 objects by a product
+    small, products = _counting(monkeypatch, "bimodule_violation"), _counting(monkeypatch, "_product")
+    for name, mk in wide_families().items():
+        q = mk()
+        for nr, nf in ((7, 9), (8, 8)):
+            d = random_problem(random_category(q, rng, nr, nr), random_category(q, rng, nf, nf), rng)
+            small.clear()
+            for e in (d, _perturbed(q, d, rng), random_raw_problem(d.source, d.target, rng)):
+                assert check_bimodule(e) == loop_bimodule(e), (name, nr, nf)
+            assert (small != []) == (nr * nf < _fastpath.OUTER_MIN_CELLS), name
+        for n in (7, 8):
+            objs, hom = [f"x{i}" for i in range(n)], [list(row) for row in random_category(q, rng, n, n).hom]
+            for _ in range(3):
+                products.clear()
+                assert check_category_axioms(q, objs, hom) == loop_axioms(q, objs, hom), (name, n)
+                assert products == [] or n == 8, name
+                hom[rng.randrange(n)][rng.randrange(n)] = q.sample(rng)
+
+
 def _near_the_tolerance(q):
     """Payloads where rounding and the tolerance meet: for costs, 0, inf,
     subnormals and multiples of a quarter of tol; for the Lukasiewicz
@@ -790,6 +851,33 @@ def test_checks_name_the_loop_witness_near_the_tolerance(data, kind):
     assert check_category_axioms(q, objs, hom) == loop_axioms(q, objs, hom)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["cost", "fuzz_lukasiewicz", "fuzz_goguen"]),
+    shape=st.sampled_from([(7, 9), (8, 8)]),
+)
+def test_checks_name_the_loop_witness_near_the_tolerance_at_the_broadcast_bound(data, kind, shape):
+    # 63 cells checked in one broadcast, 64 by the moved kernel, and homs
+    # of 7 and 8 objects, drawn where rounding and the tolerance meet
+    q = quantale_families()[kind]()
+    values = _near_the_tolerance(q)
+    src, tgt = (_drawn_category(q, data, values, n) for n in shape)
+    raw = [[data.draw(values) for _ in tgt.objects] for _ in src.objects]
+    if data.draw(st.booleans()):
+        raw = close_values(src, tgt, raw)
+        i, j = data.draw(st.integers(0, len(raw) - 1)), data.draw(st.integers(0, len(raw[0]) - 1))
+        raw[i][j] = data.draw(values)
+    d = DesignProblem(src, tgt, tuple(map(tuple, raw)))
+    assert check_bimodule(d) == loop_bimodule(d)
+    for c in (src, tgt):
+        hom = [list(row) for row in c.hom]
+        hom[data.draw(st.integers(0, len(hom) - 1))][data.draw(st.integers(0, len(hom) - 1))] = (
+            data.draw(values)
+        )
+        assert check_category_axioms(q, c.objects, hom) == loop_axioms(q, c.objects, hom)
+
+
 def _traceable(q, rng):
     loop = random_category(q, rng, 2, 3)
     src = tensor(random_category(q, rng, 2, 3), loop)
@@ -798,19 +886,17 @@ def _traceable(q, rng):
 
 
 def test_problem_values_are_encoded_once(rng, monkeypatch):
-    encode = _fastpath.encode
-    calls = []
-
-    def counting_encode(q, mode, rows):
-        calls.append(rows)
-        return encode(q, mode, rows)
-
-    monkeypatch.setattr(_fastpath, "encode", counting_encode)
-    d, loop = _traceable(cost_quantale(), rng)  # build_problem checks d once
+    # payload rows are encoded once, at the door (categories._rows_array):
+    # the checks and traces of the problem encode nothing and keep its array
+    q = cost_quantale()
+    d, loop = _traceable(q, rng)  # build_problem checks d once
+    arr, calls = d._array, _counting(monkeypatch, "encode")
     for _ in range(2):
         assert check_bimodule(d) is None
         trace(d, loop)
-    assert sum(rows is d.values for rows in calls) == 1
+    assert calls == [] and d._array is arr and "values" not in vars(d)
+    monkeypatch.undo()
+    assert np.array_equal(arr, _fastpath.encode(q, _fastpath.mode_for(q), d.values))
 
 
 def test_outputs_keep_the_arrays_they_decoded(rng):
