@@ -10,8 +10,10 @@ Rows index the first argument.  Bool-enriched categories are preorders;
 cost-enriched ones are generalized metric spaces.  Instances are immutable
 and validated at construction, so they are safe for shared reads.  A
 category is held as its hom in its carrier's kernel mode (see _fastpath):
-payload rows pass one door, _rows_array, a pushforward holds its mapped
-array and a tensor its factors.  The hom is decoded on first read.
+payload rows pass one door, _rows_array; the chain, discrete and grid
+constructors and from_order build their arrays directly; a pushforward
+holds its mapped array and a tensor its factors.  The hom is decoded on
+first read, and hom_payload decodes one cell.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class QCategory:
         return name in self._index
 
     def hom_payload(self, x: str, y: str):
-        return self.hom[self.index(x)][self.index(y)]
+        """hom(x, y), one cell decoded: a tensor's from its factors' rows."""
+        line = _hom_line(self, _fastpath.mode_for(self.quantale), self.index(x))
+        return _cell(self.quantale, line, self.index(y))
 
     def leq_objects(self, x: str, y: str) -> bool:
         """x precedes y: the hom from x to y carries the full unit."""
@@ -189,10 +193,7 @@ def build_category(
     """
     objs = tuple(str(o) for o in objects)
     arr = _rows_array(quantale, objs, objs, hom, CategoryError, "hom matrix: ")
-    cat = _held(QCategory(quantale, objs, None), arr)
-    if validate:
-        _validate(cat)
-    return cat
+    return _category(quantale, objs, arr, validate)
 
 
 def from_order(
@@ -208,35 +209,49 @@ def from_order(
     index = {o: i for i, o in enumerate(objs)}
     if len(index) != len(objs):
         raise CategoryError("duplicate object name in order")
-    n = len(objs)
-    rel = [[i == j for j in range(n)] for i in range(n)]
+    rel = np.eye(len(objs), dtype=bool)
     for a, b in pairs:
         sa, sb = str(a), str(b)
         if sa not in index:
             raise CategoryError(f"unknown object {sa!r} in order pair")
         if sb not in index:
             raise CategoryError(f"unknown object {sb!r} in order pair")
-        rel[index[sa]][index[sb]] = True
-    closed = _fastpath.closure("bool", _fastpath.encode(quantale, "bool", rel))
-    return build_category(quantale, objs, closed.tolist(), validate=True)
+        rel[index[sa], index[sb]] = True
+    return _category(quantale, objs, _fastpath.closure("bool", rel))
+
+
+def _category(q: Quantale, objs: tuple, arr, validate: bool = True) -> QCategory:
+    """The category on objs held as arr, its hom in q's mode, validated."""
+    cat = _held(QCategory(q, objs, None), arr)
+    if validate:
+        _validate(cat)
+    return cat
+
+
+def _masked(q: Quantale, objects: Sequence[str], mask) -> QCategory:
+    """The category with hom the unit where mask(n) is 1, bottom where 0."""
+    objs = tuple(str(o) for o in objects)
+    cells = _fastpath.encode(q, _fastpath.mode_for(q), [[q.bottom, q.unit]])[0]
+    return _category(q, objs, cells[mask(len(objs))])
 
 
 def chain_category(quantale: Quantale, objects: Sequence[str]) -> QCategory:
     """Chain in listed order: unit hom to every later object, bottom back."""
-    objs = tuple(str(o) for o in objects)
-    n = len(objs)
-    e, bot = quantale.unit, quantale.bottom
-    hom = [[e if i <= j else bot for j in range(n)] for i in range(n)]
-    return build_category(quantale, objs, hom, validate=True)
+    return _masked(quantale, objects, lambda n: np.triu(np.ones((n, n), dtype=int)))
 
 
 def discrete_category(quantale: Quantale, objects: Sequence[str]) -> QCategory:
     """Category with only the mandatory identity structure."""
-    objs = tuple(str(o) for o in objects)
-    n = len(objs)
-    e, bot = quantale.unit, quantale.bottom
-    hom = [[e if i == j else bot for j in range(n)] for i in range(n)]
-    return build_category(quantale, objs, hom, validate=True)
+    return _masked(quantale, objects, lambda n: np.eye(n, dtype=int))
+
+
+def _grid(q: Quantale, nums):
+    """hom(a, b) = max(b - a, 0) over the numbers nums, in q's mode: on
+    Python ints in nat's object arrays, on floats in cost's."""
+    if q.kind not in ("cost", "nat"):
+        raise CategoryError(f"a grid needs a cost or nat quantale, not {q.name}")
+    v = np.array(nums, _fastpath._ALGEBRA[_fastpath.mode_for(q)].dtype)
+    return np.maximum(v - v[:, None], 0)
 
 
 def nat_category(
@@ -254,28 +269,19 @@ def nat_category(
     q = quantale or nat_quantale()
     if q.kind != "nat":
         raise CategoryError("nat_category requires the nat quantale")
-    values = list(range(cap + 1)) + ([math.inf] if include_inf else [])
-    objs = [("inf" if v == math.inf else str(v)) for v in values]
-
-    def h(a, b):
-        if a == math.inf:
-            return 0
-        if b == math.inf:
-            return math.inf
-        return max(b - a, 0)
-
-    hom = [[h(a, b) for b in values] for a in values]
-    return build_category(q, objs, hom, validate=True)
+    objs = tuple(map(str, range(cap + 1))) + (("inf",) if include_inf else ())
+    hom = np.zeros((len(objs), len(objs)), object)  # inf's row: no shortfall to any object
+    hom[: cap + 1, : cap + 1] = _grid(q, range(cap + 1))
+    hom[: cap + 1, cap + 1 :] = math.inf  # and no object below reaches it
+    return _category(q, objs, hom)
 
 
 def nat_grid_category(grid: Sequence[int], quantale: Quantale = None) -> QCategory:
     """Nat-enriched category on an ascending integer grid."""
     from .quantales import nat_quantale
 
-    q = quantale or nat_quantale()
-    values = [int(v) for v in grid]
-    hom = [[max(b - a, 0) for b in values] for a in values]
-    return build_category(q, [str(v) for v in values], hom, validate=True)
+    q, values = quantale or nat_quantale(), [int(v) for v in grid]
+    return _category(q, tuple(map(str, values)), _grid(q, values))
 
 
 def pair_name(a: str, b: str) -> str:
@@ -288,6 +294,11 @@ def _decode_rows(q: Quantale, arr) -> tuple:
     object; nat's and an object row's cells are payloads."""
     big, mode = arr.size >= _fastpath.OUTER_MIN_CELLS, _fastpath.mode_for(q)
     return tuple(map(tuple, (_fastpath.decode_shared if big else _fastpath.decode)(q, mode, arr)))
+
+
+def _cell(q: Quantale, line, j: int):
+    """Cell j of line, an array in q's mode, as its payload."""
+    return _fastpath.decode(q, _fastpath.mode_for(q), line[None, j : j + 1])[0][0]
 
 
 def _leaves(cat: QCategory) -> tuple:
@@ -412,8 +423,12 @@ def pushforward(
     """Change of base: map every hom entry through a verified lax map.
 
     The result is held as _push's array, with c's factors pushed.  phi must be
-    certified lax or strict unless force is given; a lax map always yields
-    a valid category, so a failure under force points at the forced map.
+    certified lax or strict unless force is given.  In exact arithmetic a
+    lax map yields a valid category.  Float carriers validate within
+    float_tol(), and a certified map that stretches small values, or
+    thresholds at tol, can break a category that holds only within tol
+    (ROADMAP.md, item 3).  A failure names the map, and under force says
+    it was forced.
     """
     if not compatible(phi.source, c.quantale):
         raise CompositionError(

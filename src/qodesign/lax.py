@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import _fastpath
-from .categories import QCategory, _gate, _push, pushforward
+from .categories import QCategory, _gate, _hom_array, _push, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
 from .problems import DesignProblem, _array_problem
 from .quantales import Quantale, compatible, make_powerset
@@ -560,8 +562,11 @@ def pushforward_problem(
     """Transport a problem along a lax map: push categories and values,
     the values held as _push's array.
 
-    Laxity makes the image a valid problem over the target quantale; a
-    validation failure under force names the forced map.
+    In exact arithmetic laxity makes the image a valid problem over the
+    target quantale.  Float carriers validate within float_tol(), and a
+    certified map that stretches small values, or thresholds at tol, can
+    break a problem that holds only within tol (ROADMAP.md, item 3).  A
+    validation failure names the map, and under force says it was forced.
     """
     if not compatible(phi.source, d.quantale):
         raise CompositionError(
@@ -726,12 +731,14 @@ def catalog_problem(
             raise ProblemError(
                 f"part {p.name!r} provides unknown object {p.provides!r}"
             )
-    vals = [
-        [frozenset(p.name for p in catalog.parts if requires_in.hom_payload(p.requires, r)
-                   and provides_in.hom_payload(f, p.provides)) for f in provides_in.objects]
-        for r in requires_in.objects
-    ]
-    return _array_problem(pq, src, tgt, vals, "catalog problem")
+    # a part's bit where its requirement is at or below r, and where f is
+    # at or below its provision: their product ORs the parts usable at (r, f)
+    mode, parts = _fastpath.mode_for(pq), catalog.parts
+    bits = _fastpath.encode(pq, mode, [[frozenset([p.name]) for p in parts]])[0]
+    usable = _hom_array(requires_in)[[requires_in.index(p.requires) for p in parts]].T
+    reaches = _hom_array(provides_in)[:, [provides_in.index(p.provides) for p in parts]].T
+    table = _fastpath._product(mode, np.where(usable, bits, 0), np.where(reaches, bits[:, None], 0))
+    return _array_problem(pq, src, tgt, table, "catalog problem")
 
 
 def implementation_series_problems(

@@ -18,7 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from ..categories import QCategory, build_category, pushforward, tensor
+from ..categories import QCategory, build_category, chain_category, discrete_category
+from ..categories import _category, _grid, _hom_array, _push, pushforward, tensor
 from ..errors import CodesignError, ModelError
 from ..lax import (
     Catalog,
@@ -35,6 +36,7 @@ from ..lax import (
 )
 from ..problems import (
     DesignProblem,
+    _terms,
     build_problem,
     identity_problem,
     parallel,
@@ -299,14 +301,9 @@ class _Op(NamedTuple):
     # the node's cut and what it counts; None for nodes without one
     cut: Optional[Callable] = None
     counts: str = ""
-    # (quantale, phi1, phi2) of a node whose value at (r, f) is the join
-    # over its first operand's target objects m of
-    # phi1(d1(r, m)) * phi2(d2(m, f)); None for other nodes
+    # (quantale, a, b) of a node whose value at (r, f) joins a[r, m] * b[m, f],
+    # arrays in the quantale's mode, over m; None for other nodes
     join: Optional[Callable] = None
-
-
-def _same(v):
-    return v
 
 
 # Rows call the operators through lambdas, so that they look each name up
@@ -317,7 +314,7 @@ _OPS = {
         lambda *a: series(*a),
         lambda d1, d2: len(d1.target.objects),
         "interface objects",
-        lambda d1, d2: (d1.quantale, _same, _same),
+        lambda d1, d2: (d1.quantale, _hom_array(d1), _hom_array(d2)),
     ),
     "parallel": _Op(
         lambda *a: parallel(*a), lambda *a: 1, "independent sides"
@@ -331,7 +328,7 @@ _OPS = {
         lambda *a: hetero_series(*a),
         lambda d1, d2, phi1, phi2: len(d1.target.objects),
         "interface objects",
-        lambda d1, d2, phi1, phi2: (phi1.target, phi1, phi2),
+        lambda d1, d2, phi1, phi2: (phi1.target, _push(d1, phi1), _push(d2, phi2)),
     ),
     "hetero_parallel": _Op(
         lambda *a: hetero_parallel(*a), lambda *a: 1, "independent sides"
@@ -638,14 +635,9 @@ class ModelDocument:
             return None
         args = self._args(expr)
         d1, d2 = args[:2]
-        q, phi1, phi2 = _OPS[expr[0]].join(*args)
-        i = d1.source.index(resource)
-        j = d2.target.index(functionality)
-        out = []
-        for k, m in enumerate(d1.target.objects):
-            v = q.mult(phi1(d1.values[i][k]), phi2(d2.values[k][j]))
-            out.append((m, _value_text(q, v), v))
-        return tuple(out)
+        q, a, b = _OPS[expr[0]].join(*args)
+        terms = _terms(q, a, b, d1.source.index(resource), d2.target.index(functionality))
+        return tuple((m, _value_text(q, v), v) for m, v in zip(d1.target.objects, terms))
 
     def run_sweep(self, name: str) -> ResultTable:
         spec = self._get("sweep", name)
@@ -901,15 +893,9 @@ def _build_category(doc: ModelDocument, decl: CategoryDecl):
     q = doc._get("quantale", decl.quantale)
     objs = decl.objects
     if decl.order == "chain":
-        hom = [
-            [q.unit if i <= j else q.bottom for j in range(len(objs))]
-            for i in range(len(objs))
-        ]
+        cat = chain_category(q, objs)
     elif decl.order == "discrete":
-        hom = [
-            [q.unit if i == j else q.bottom for j in range(len(objs))]
-            for i in range(len(objs))
-        ]
+        cat = discrete_category(q, objs)
     elif decl.order == "grid":
         if q.kind not in ("cost", "nat"):
             raise ModelError("grid order needs a cost or nat quantale")
@@ -917,15 +903,16 @@ def _build_category(doc: ModelDocument, decl: CategoryDecl):
             nums = [int(o) if q.kind == "nat" else float(o) for o in objs]
         except ValueError:
             raise ModelError("grid order needs numeric object names") from None
+        if not all(map(math.isfinite, nums)):
+            raise ModelError("grid objects must be finite")
         if any(b <= a for a, b in zip(nums, nums[1:])):
             raise ModelError("grid objects must be strictly ascending")
-        zero = 0 if q.kind == "nat" else 0.0
-        hom = [[max(y - x, zero) for y in nums] for x in nums]
+        cat = _category(q, tuple(objs), _grid(q, nums))
     else:
         hom = _fill_matrix(
             q, objs, objs, decl.hom_entries, decl.default, True, decl.name
         )
-    cat = build_category(q, objs, hom)
+        cat = build_category(q, objs, hom)
     doc.add_category(decl.name, cat, (decl.order or "table",))
 
 

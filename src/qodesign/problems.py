@@ -24,8 +24,10 @@ _fastpath).  build_problem takes payload rows, which the row door
 (categories._rows_array) normalizes into that array once, or an array,
 which is checked for membership; the operators keep the kernel's output
 array.  Payload values are decoded on first read, so a chain of
-operators decodes nothing but what is read.  A table under
-OUTER_MIN_CELLS cells is checked in one broadcast of all its moves.
+operators decodes nothing but what is read: value_payload and the series
+breakdown decode one cell each, and pareto_front and upward_closure read
+the bool arrays.  A table under OUTER_MIN_CELLS cells is checked in one
+broadcast of all its moves.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import _fastpath
 from .categories import QCategory, _interface_mismatch, tensor
-from .categories import _decode_rows, _generators, _held, _hom_array, _hom_line, _leaves
+from .categories import _cell, _decode_rows, _generators, _held, _hom_array, _hom_line, _leaves
 from .categories import _rows_array
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
@@ -72,7 +74,8 @@ class DesignProblem:
         )
 
     def value_payload(self, r: str, f: str):
-        return self.values[self.source.index(r)][self.target.index(f)]
+        """d(r, f): one cell of the held array decoded."""
+        return _cell(self.quantale, _hom_array(self)[self.source.index(r)], self.target.index(f))
 
 
 def check_bimodule(d: DesignProblem):
@@ -225,13 +228,16 @@ def series_breakdown(d1: DesignProblem, d2: DesignProblem, r: str, f: str):
     """
     _require_same_interface(d1.target, d2.source, "series interface")
     q = d1.quantale
-    i = d1.source.index(r)
-    j = d2.target.index(f)
-    terms = [
-        (m, q.mult(d1.values[i][k], d2.values[k][j]))
-        for k, m in enumerate(d1.target.objects)
-    ]
+    i, j = d1.source.index(r), d2.target.index(f)
+    terms = list(zip(d1.target.objects, _terms(q, _hom_array(d1), _hom_array(d2), i, j)))
     return terms, q.join(t for _, t in terms)
+
+
+def _terms(q: Quantale, a, b, i: int, j: int) -> list:
+    """The payloads a[i, m] * b[m, j], one per interface object m, that a
+    series of tables a and b, in q's mode, joins at (i, j)."""
+    mode = _fastpath.mode_for(q)
+    return _fastpath.decode(q, mode, _fastpath._ALGEBRA[mode].mult(a[i], b[:, j])[None])[0]
 
 
 def parallel(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> DesignProblem:
@@ -281,32 +287,16 @@ def pareto_front(d: DesignProblem, f: str):
     """
     if d.quantale.kind != "bool":
         raise ProblemError("pareto_front is defined for bool-enriched problems")
-    src = d.source
-    j = d.target.index(f)
-    feasible = [i for i, row in enumerate(d.values) if row[j]]
-    hom = src.hom
-    front = []
-    for i in feasible:
-        dominated = False
-        for k in feasible:
-            if k == i:
-                continue
-            if hom[k][i] and not hom[i][k]:
-                dominated = True
-                break
-        if dominated:
-            continue
-        if any(hom[k][i] and hom[i][k] for k in front):
-            continue
-        front.append(i)
-    return tuple(src.objects[i] for i in front)
+    h, feasible = _hom_array(d.source), _hom_array(d)[:, d.target.index(f)]
+    # i is kept where no feasible k is strictly below it, nor an earlier one equivalent
+    below = (h & ~h.T)[feasible].any(axis=0)
+    twin = np.tril(h & h.T, -1)[:, feasible].any(axis=1)
+    return tuple(d.source.objects[i] for i in np.flatnonzero(feasible & ~below & ~twin))
 
 
 def upward_closure(c: QCategory, names: Sequence[str]):
     """All objects above any of names in a bool category's order."""
-    idx = [c.index(n) for n in names]
-    return tuple(
-        o
-        for j, o in enumerate(c.objects)
-        if any(c.hom[i][j] for i in idx)
-    )
+    if c.quantale.kind != "bool":
+        raise ProblemError("upward_closure is defined for bool-enriched categories")
+    above = _hom_array(c)[[c.index(n) for n in names]].any(axis=0)
+    return tuple(o for o, up in zip(c.objects, above) if up)

@@ -153,6 +153,31 @@ def normalize_table(q, row_names, col_names, rows, error, prefix="", noun="row")
     return tuple(out)
 
 
+def chain_rows(q, n):
+    """chain_category's oracle: the unit from each object to every later
+    one, bottom back."""
+    return [[q.unit if i <= j else q.bottom for j in range(n)] for i in range(n)]
+
+
+def discrete_rows(q, n):
+    """discrete_category's oracle: the unit on the diagonal, bottom off it."""
+    return [[q.unit if i == j else q.bottom for j in range(n)] for i in range(n)]
+
+
+def grid_rows(values):
+    """The grid constructors' oracle: hom(a, b) = max(b - a, 0); an inf
+    object (nat_category's) reaches every object and none reaches it."""
+
+    def h(a, b):
+        if a == math.inf:
+            return 0
+        if b == math.inf:
+            return math.inf
+        return max(b - a, 0)
+
+    return [[h(a, b) for b in values] for a in values]
+
+
 def loop_bimodule(d: DesignProblem):
     """check_bimodule's oracle: the first witness (r, r*, f, f*) in
     (r*, f*, r, f) order, one carrier operation per quadruple."""

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qodesign import (
     CategoryError,
+    ModelError,
     bool_quantale,
     build_category,
     chain_category,
@@ -15,7 +16,9 @@ from qodesign import (
     cost_quantale,
     discrete_category,
     from_order,
+    loads,
     make_powerset,
+    nat_category,
     nat_grid_category,
     nat_quantale,
     pace_quantale,
@@ -25,7 +28,8 @@ from qodesign import (
 )
 from qodesign import builtin_lax
 
-from conftest import loop_axioms, quantale_families, random_category, wide_families
+from conftest import chain_rows, discrete_rows, grid_rows, loop_axioms, normalize_table
+from conftest import quantale_families, random_category, wide_families
 
 
 def oracle_axioms(q, hom):
@@ -128,6 +132,19 @@ def test_chain_discrete_structure():
     d = discrete_category(q, ("a", "b"))
     assert d.hom_payload("a", "b") == math.inf
     assert d.hom_payload("a", "a") == 0.0
+    # built as arrays, the homs are the row oracles' payloads, type for type,
+    # below and above the 64-cell decode floor
+    for name, mk in wide_families().items():
+        q = mk()
+        for n in (0, 1, 3, 9):
+            objs = [f"o{i}" for i in range(n)]
+            for build, rows in ((chain_category, chain_rows), (discrete_category, discrete_rows)):
+                want = normalize_table(q, objs, objs, rows(q, n), CategoryError)
+                assert _typed(build(q, objs).hom) == _typed(want), (name, build.__name__, n)
+
+
+def _typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
 
 
 def test_nat_grid_hom_counts_shortfall():
@@ -136,6 +153,29 @@ def test_nat_grid_hom_counts_shortfall():
     assert c.hom_payload("5", "12") == 7
     assert c.hom_payload("12", "0") == 0
     assert c.objects == ("0", "5", "12")
+    nat, cost = nat_quantale(), cost_quantale()
+    for values in ((), (0,), (0, 5, 12), (0, 1, 10**17 + 1), tuple(range(0, 90, 10))):
+        names = [str(v) for v in values]
+        want = normalize_table(nat, names, names, grid_rows(values), CategoryError)
+        assert _typed(nat_grid_category(values).hom) == _typed(want), values
+    for cap in (0, 1, 4, 8):
+        for inf in (False, True):
+            c = nat_category(cap, inf)
+            values = list(range(cap + 1)) + [math.inf] * inf
+            want = normalize_table(nat, c.objects, c.objects, grid_rows(values), CategoryError)
+            assert c.objects[-1] == ("inf" if inf else str(cap))
+            assert _typed(c.hom) == _typed(want), (cap, inf)
+    # a document's grid builds the same homs on its own names, cost's as floats
+    for q, names, values in ((nat, "0, 5, 12", (0, 5, 12)), (cost, "0, 0.5, 12", (0.0, 0.5, 12.0))):
+        doc = loads(f"quantale Q = {q.kind}\ncategory G over Q {{ objects: {names}  order: grid }}\n")
+        got = doc.categories["G"]
+        want = normalize_table(q, got.objects, got.objects, grid_rows(values), CategoryError)
+        assert got.objects == tuple(names.split(", ")) and _typed(got.hom) == _typed(want)
+    with pytest.raises(CategoryError, match="cost or nat"):
+        nat_grid_category((0, 1), pace_quantale())
+    for names, message in (("0, inf", "must be finite"), ("5, 1", "strictly ascending")):
+        with pytest.raises(ModelError, match=message):
+            loads(f"quantale Q = cost\ncategory G over Q {{ objects: {names}  order: grid }}\n")
 
 
 def test_tensor_pointwise(rng):
@@ -222,8 +262,13 @@ def test_model_tensor_homs_are_built_on_first_read(monkeypatch):
     built.clear()
     loop_in = doc.categories["LoopIn"]
     a, b = loop_in.factors
-    hom = loop_in.hom
     q = loop_in.quantale
+    # a cell read builds a row from the factors' rows, not the tensor's hom
+    x, y = loop_in.objects[1], loop_in.objects[-1]
+    cell, leq = loop_in.hom_payload(x, y), loop_in.leq_objects(x, y)
+    assert built == [] and "hom" not in vars(loop_in)
+    hom = loop_in.hom
+    assert cell == hom[1][-1] and leq == q.leq(q.unit, cell)
     assert built == [(len(a.objects), len(b.objects))]  # ChoiceI's array is kept
     nb = len(b.objects)
     for i, row in enumerate(hom):

@@ -35,6 +35,8 @@ from qodesign import (
     tensor,
 )
 
+from qodesign import _fastpath
+
 from conftest import random_category, random_problem
 
 
@@ -196,7 +198,7 @@ def test_catalog_problem_matches_direct_definition():
     b = bool_quantale()
     req = chain_category(b, ("r0", "r1", "r2"))
     prov = chain_category(b, ("p0", "p1", "p2"))
-    cat = Catalog(
+    motors = Catalog(
         "motors",
         (
             CatalogPart("cheap", "r0", "p0"),
@@ -205,21 +207,26 @@ def test_catalog_problem_matches_direct_definition():
             CatalogPart("odd", "r0", "p2"),
         ),
     )
-    d = catalog_problem(cat, req, prov)
-    assert d.quantale.kind == "powerset"
-    assert set(d.quantale.params["base"]) == {"cheap", "mid", "big", "odd"}
+    # 70 parts run the wide mode, past 63 bits; no parts, the empty powerset
+    many = Catalog(
+        "many", tuple(CatalogPart(f"m{k}", f"r{k % 3}", f"p{k // 3 % 3}") for k in range(70))
+    )
     ri = {o: i for i, o in enumerate(req.objects)}
     pi = {o: i for i, o in enumerate(prov.objects)}
-    for r, robj in enumerate(req.objects):
-        for f, fobj in enumerate(prov.objects):
-            expected = frozenset(
-                p.name
-                for p in cat.parts
-                if ri[p.requires] <= r and f <= pi[p.provides]
-            )
-            assert d.values[r][f] == expected
+    for cat, mode in ((motors, "bits"), (many, "wide"), (Catalog("none", ()), "bits")):
+        d = catalog_problem(cat, req, prov)
+        assert d.quantale.kind == "powerset" and _fastpath.mode_for(d.quantale) == mode
+        assert set(d.quantale.params["base"]) == set(cat.part_names())
+        for r, robj in enumerate(req.objects):
+            for f, fobj in enumerate(prov.objects):
+                expected = frozenset(
+                    p.name
+                    for p in cat.parts
+                    if ri[p.requires] <= r and f <= pi[p.provides]
+                )
+                assert d.values[r][f] == expected
     # the omnivorous part is available everywhere
-    assert all("odd" in v for row in d.values for v in row)
+    assert all("odd" in v for row in catalog_problem(motors, req, prov).values for v in row)
 
 
 def test_catalog_problem_input_validation():

@@ -324,6 +324,21 @@ def test_reloaded_models_compose_identically(name):
         assert a.target.objects == b.target.objects
 
 
+@pytest.mark.parametrize(
+    "name", ["tracking", "tracking_bool", "uav_cost", "uav_powerset"]
+)
+def test_shipped_queries_decode_no_table(name):
+    doc = load_model(MODELS_DIR / f"{name}.model")
+    assert doc.queries
+    for query in doc.queries:
+        doc.run_query(query, verbose=True)
+        # the composed problem, its operands, and every problem under them
+        built = [*doc._cache.values(), *doc.problems.values()]
+        composed = doc.compose(doc.queries[query].diagram)
+        assert any(p is composed for p in built)  # by identity: == would decode
+        assert not [p for p in built if "values" in vars(p)], query
+
+
 def test_synthesized_document_with_every_construct_round_trips():
     text = (
         "quantale C = cost\n"

@@ -33,6 +33,7 @@ from qodesign import (
     make_product,
     nat_grid_category,
     nat_quantale,
+    pace_quantale,
     pair_name,
     parallel,
     pareto_front,
@@ -954,7 +955,7 @@ def test_trace_loop_mismatch(rng):
 
 
 def test_series_breakdown_joins_to_composite(rng):
-    for name, mk in quantale_families().items():
+    for name, mk in wide_families().items():
         q = mk()
         a = random_category(q, rng, 2, 3)
         b = random_category(q, rng, 2, 3)
@@ -965,6 +966,9 @@ def test_series_breakdown_joins_to_composite(rng):
         r, f = a.objects[0], c.objects[-1]
         terms, joined = series_breakdown(d1, d2, r, f)
         assert [m for m, _ in terms] == list(b.objects)
+        # each term is the payload product, type for type
+        want = [q.mult(d1.values[0][k], d2.values[k][-1]) for k in range(len(b.objects))]
+        assert [(type(v), v) for _, v in terms] == [(type(v), v) for v in want], name
         assert q.equal(joined, composite.value_payload(r, f))
         assert q.equal(joined, q.join(v for _, v in terms))
 
@@ -1031,3 +1035,7 @@ def test_upward_closure():
     assert upward_closure(c, ("b",)) == ("b", "c")
     assert upward_closure(c, ()) == ()
     assert upward_closure(c, ("a",)) == ("a", "b", "c")
+    # payload truthiness is no order: a cost chain's bottom, inf, is truthy
+    for q in (cost_quantale(), pace_quantale()):
+        with pytest.raises(ProblemError):
+            upward_closure(chain_category(q, ("a", "b", "c")), ("b",))
