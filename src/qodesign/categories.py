@@ -9,17 +9,18 @@ quantale, satisfying
 Rows index the first argument.  Bool-enriched categories are preorders;
 cost-enriched ones are generalized metric spaces.  Instances are immutable
 and validated at construction, so they are safe for shared reads.  A
-category is held as its hom in its carrier's kernel mode (see _fastpath):
-payload rows pass one door, _rows_array; the chain, discrete and grid
-constructors and from_order build their arrays directly; a pushforward
-holds its mapped array and a tensor its factors.  The hom is decoded on
-first read, and hom_payload decodes one cell.
+category is held as its hom in its carrier's kernel mode (see _fastpath),
+one C-contiguous, read-only array (_hold): payload rows pass one door,
+_rows_array; the chain, discrete and grid constructors and from_order
+build their arrays directly; a pushforward holds its mapped array and a
+tensor its factors.  The hom is decoded on first read, hom_payload decodes
+one cell, and == (exact; same_interface is within tol) decodes nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,29 +31,41 @@ from .quantales import Quantale, compatible
 from .values import float_tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QCategory:
     quantale: Quantale
     objects: tuple
-    hom: tuple
-    factors: Optional[tuple] = field(default=None, compare=False)
-    _tensor = False  # set by tensor() alone: hom is the factors' homs multiplied
+    hom: InitVar[object]  # payload rows or an array, held by _hold; None for a tensor
+    factors: Optional[tuple] = None
 
-    def __post_init__(self):
+    def __post_init__(self, hom):
         index = {name: i for i, name in enumerate(self.objects)}
         if len(index) != len(self.objects):
             dup = next(o for i, o in enumerate(self.objects) if o in self.objects[:i])
             raise CategoryError(f"duplicate object name {dup!r}")
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_array", None)  # the hom encoded, read through _hom_array
+        object.__setattr__(self, "_tensor", hom is None)  # its hom: the factors' multiplied
+        object.__setattr__(self, "_array", None if hom is None else _hold(self.quantale, hom, len(index)))
         object.__setattr__(self, "_presentation", None)  # read through _generators
 
     def __getattr__(self, name):
-        # only a category held as its array lacks its hom, until the first read
+        # the hom is decoded from the held array on first read
         if name != "hom":
             raise AttributeError(name)
         object.__setattr__(self, "hom", _decode_rows(self.quantale, _hom_array(self)))
         return self.hom
+
+    def __eq__(self, other):
+        """Exact equality of the decoded homs, on equal tensor factors or the held arrays."""
+        if not isinstance(other, QCategory):
+            return NotImplemented
+        if self is other or (self._tensor and other._tensor and self.factors == other.factors):
+            return True
+        same = self.quantale is other.quantale and self.objects == other.objects
+        return same and np.array_equal(_hom_array(self), _hom_array(other))
+
+    def __hash__(self):
+        return hash((self.quantale, self.objects))
 
     def __repr__(self):
         return (
@@ -91,7 +104,8 @@ def _interface_mismatch(a: QCategory, b: QCategory):
         return f"quantale mismatch ({a.quantale.name} vs {b.quantale.name})"
     xs, ys = a.objects, b.objects
     if xs != ys:
-        first = next((x for x, y in zip(xs, ys) if x != y), xs[len(ys) :][:1] or ys[len(xs) :][:1])
+        i = next((i for i, (x, y) in enumerate(zip(xs, ys)) if x != y), min(len(xs), len(ys)))
+        first = (xs if i < len(xs) else ys)[i]
         return f"object mismatch ({len(xs)} vs {len(ys)} objects; first difference {first!r})"
     ha, hb, tol = _hom_array(a), _hom_array(b), float_tol()
     above = _fastpath._ALGEBRA[_fastpath.mode_for(a.quantale)].above
@@ -134,11 +148,14 @@ def _rows_array(
     return np.fromiter(cells, _fastpath._ALGEBRA[mode].dtype).reshape(len(rows), n)
 
 
-def _held(x, arr):
-    """x held as arr: __getattr__ decodes its hom or values on first read."""
-    object.__delattr__(x, "hom" if isinstance(x, QCategory) else "values")
-    object.__setattr__(x, "_array", arr)
-    return x
+def _hold(q: Quantale, table, cols: int):
+    """table, payload rows (encoded unchecked, cols columns if none) or an array
+    in q's mode, held C-contiguous and read-only: no table writes a shared buffer."""
+    if not isinstance(table, np.ndarray):
+        table = _fastpath.encode(q, _fastpath.mode_for(q), table).reshape(len(table), cols)
+    arr = np.ascontiguousarray(table)
+    arr.setflags(write=False)
+    return arr
 
 
 def check_category_axioms(q: Quantale, objects, hom):
@@ -222,7 +239,7 @@ def from_order(
 
 def _category(q: Quantale, objs: tuple, arr, validate: bool = True) -> QCategory:
     """The category on objs held as arr, its hom in q's mode, validated."""
-    cat = _held(QCategory(q, objs, None), arr)
+    cat = QCategory(q, objs, arr)
     if validate:
         _validate(cat)
     return cat
@@ -307,20 +324,14 @@ def _leaves(cat: QCategory) -> tuple:
 
 
 def _hom_array(x):
-    """x's table encoded in its carrier's mode, kept on x.  A tensor's is
-    the outer product of its factors' arrays, so its hom is not built; a
-    table with no rows keeps its column count.  Compatible handles share
-    the mode's name, or hold payloads on object rows, so an array made
-    under one serves the other."""
+    """x's held table in its carrier's mode.  A tensor's is built on first
+    read, the outer product of its factors' arrays, so its hom is not
+    built.  Compatible handles share the mode's name, or hold payloads on
+    object rows, so an array made under one serves the other."""
     if x._array is None:
-        mode = _fastpath.mode_for(x.quantale)
-        if isinstance(x, QCategory) and x._tensor:
-            a, b = x.factors
-            arr = _fastpath.outer_product(mode, _hom_array(a), _hom_array(b))
-        else:
-            rows, cols = (x.hom, x) if isinstance(x, QCategory) else (x.values, x.target)
-            arr = _fastpath.encode(x.quantale, mode, rows).reshape(len(rows), len(cols.objects))
-        object.__setattr__(x, "_array", arr)
+        a, b = x.factors
+        arr = _fastpath.outer_product(_fastpath.mode_for(x.quantale), _hom_array(a), _hom_array(b))
+        object.__setattr__(x, "_array", _hold(x.quantale, arr, 0))
     return x._array
 
 
@@ -400,8 +411,6 @@ def tensor(c: QCategory, d: QCategory, validate: bool = True) -> QCategory:
         )
     objs = tuple(pair_name(a, b) for a in c.objects for b in d.objects)
     cat = QCategory(c.quantale, objs, None, (c, d))
-    object.__delattr__(cat, "hom")  # built by __getattr__ on first read
-    object.__setattr__(cat, "_tensor", True)
     leaves = _leaves(cat)
     if validate and not all(_leaf_holds(f, float_tol() / len(leaves)) for f in leaves):
         _validate(cat)
@@ -439,7 +448,7 @@ def pushforward(
         return c
     _gate(phi, force)
     factors = c.factors and tuple(pushforward(f, phi, force, False) for f in c.factors)
-    cat = _held(QCategory(phi.target, c.objects, None, factors), _push(c, phi))
+    cat = QCategory(phi.target, c.objects, _push(c, phi), factors)
     if validate:
         forced = "forced unverified map " if force else ""
         _validate(cat, f"(pushforward through {forced}{phi.name})")

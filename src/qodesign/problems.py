@@ -19,49 +19,59 @@ a shared source/target factor.  Outputs of the operators on validated
 inputs are validated by construction (closure); validation can be
 switched off on hot paths and is always exercised by the property tests.
 
-A problem is held as an array in its carrier's kernel encoding (see
-_fastpath).  build_problem takes payload rows, which the row door
-(categories._rows_array) normalizes into that array once, or an array,
-which is checked for membership; the operators keep the kernel's output
-array.  Payload values are decoded on first read, so a chain of
-operators decodes nothing but what is read: value_payload and the series
-breakdown decode one cell each, and pareto_front and upward_closure read
-the bool arrays.  A table under OUTER_MIN_CELLS cells is checked in one
-broadcast of all its moves.
+A problem is held as one read-only, C-contiguous array in its carrier's
+kernel encoding (categories._hold), which == compares exactly.
+build_problem takes payload rows, which the row door normalizes into
+that array once, or an array, checked for membership and held without a
+copy; the operators keep the kernel's output.  Values are decoded on
+first read, so a chain of operators decodes nothing but what is read:
+value_payload and the series breakdown decode one cell each, and
+pareto_front and upward_closure read the bool arrays.  A table under
+OUTER_MIN_CELLS cells is checked in one broadcast of all its moves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _fastpath
 from .categories import QCategory, _interface_mismatch, tensor
-from .categories import _cell, _decode_rows, _generators, _held, _hom_array, _hom_line, _leaves
+from .categories import _cell, _decode_rows, _generators, _hold, _hom_array, _hom_line, _leaves
 from .categories import _rows_array
 from .errors import CompositionError, ProblemError
 from .quantales import Quantale, compatible
 from .values import QValue, float_tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignProblem:
     source: QCategory
     target: QCategory
-    values: tuple
+    values: InitVar[object]  # payload rows or an array, held by categories._hold
 
-    def __post_init__(self):
-        object.__setattr__(self, "_array", None)  # the values encoded, read through _hom_array
+    def __post_init__(self, values):
+        object.__setattr__(self, "_array", _hold(self.quantale, values, len(self.target.objects)))
 
     def __getattr__(self, name):
-        # only an array-backed problem lacks its values, until the first read
+        # the values are decoded from the held array on first read
         if name != "values":
             raise AttributeError(name)
         object.__setattr__(self, "values", _decode_rows(self.quantale, self._array))
         return self.values
+
+    def __eq__(self, other):
+        """Exact equality of the decoded values, read on the held arrays."""
+        if not isinstance(other, DesignProblem):
+            return NotImplemented
+        ends = (self.source, self.target) == (other.source, other.target)
+        return self is other or (ends and np.array_equal(self._array, other._array))
+
+    def __hash__(self):
+        return hash((self.source, self.target))
 
     @property
     def quantale(self) -> Quantale:
@@ -145,7 +155,7 @@ def _array_problem(q, source, target, table, what, validate=True):
             i, j = bad
             cell = table[i : i + 1, j : j + 1].tolist()
             _rows_array(q, rs[i : i + 1], fs[j : j + 1], cell, ProblemError, noun="value row")
-    d = _held(DesignProblem(source, target, None), table)
+    d = DesignProblem(source, target, table)
     witness = check_bimodule(d) if validate else None
     if witness is not None:
         r, rs, f, fs = witness
@@ -168,7 +178,8 @@ def build_problem(
     payload rows, or a numpy array in the carrier's kernel encoding: floats
     for cost and fuzz, pace ranks 0-3, bools, or uint64 bitsets whose bit i
     is the powerset's i-th base name.  Any other array, such as a nat one,
-    is read as the payload rows of its tolist().  check_bimodule tests every
+    is read as the payload rows of its tolist().  An encoded array is held
+    without a copy, so it becomes read-only.  check_bimodule tests every
     move of every cell and names a witness on failure.
     """
     if not compatible(source.quantale, target.quantale):

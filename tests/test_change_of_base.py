@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from qodesign import (
+    CategoryError,
     CompositionError,
     QuantaleError,
     bool_quantale,
@@ -15,8 +16,10 @@ from qodesign import (
     builtin_lax,
     cost_quantale,
     discrete_category,
+    float_tol,
     fuzz_quantale,
     hetero_series,
+    identity_problem,
     make_powerset,
     make_product,
     nat_grid_category,
@@ -227,7 +230,7 @@ def test_interfaces_compare_on_arrays_within_the_tolerance():
     cases = [
         (far, "series interface: hom tables differ at ('y', 'x')"),
         (build_category(c, "xyw", a.hom), "series interface: object mismatch (3 vs 3 objects; first difference 'z')"),
-        (build_category(c, "xy", [[0.0, 1.0], [math.inf, 0.0]]), "series interface: object mismatch (3 vs 2 objects; first difference ('z',))"),
+        (build_category(c, "xy", [[0.0, 1.0], [math.inf, 0.0]]), "series interface: object mismatch (3 vs 2 objects; first difference 'z')"),
         (build_category(nat_quantale(), "xyz", [[0, 1, 2], [math.inf, 0, 1], [math.inf, math.inf, 0]]), "series interface: quantale mismatch (Cost vs Nat)"),
     ]
     for other, text in cases:
@@ -249,3 +252,35 @@ def test_selection_pushes_arrays_and_decodes_nothing():
         assert "hom" not in vars(doc.categories[name]), name
     assert "values" not in vars(doc.problems["choose_served"])
     assert "values" not in vars(doc.compose("stage_loop"))
+
+
+@pytest.mark.parametrize(
+    "map_name,params,homs",
+    [
+        ("scale", dict(factor=3), (0.0, 0.0, None)),
+        ("sqrt_cost", dict(degree=2), (0.0, 0.0, None)),
+        ("cost_to_bool_free", {}, (6e-10, 6e-10, 1.2e-9)),
+    ],
+)
+def test_certified_maps_break_categories_that_hold_within_tol(map_name, params, homs):
+    """ROADMAP item 3, pinned as it behaves: a cost category whose x -> z
+    hom is within tol of x -> y -> z validates, and a certified map that
+    stretches small values, or thresholds at tol, breaks its pushforward.
+    The failure is loud and names the map; None stands for float_tol()."""
+    c = cost_quantale()
+    target = bool_quantale() if map_name == "cost_to_bool_free" else c
+    phi = builtin_lax(map_name, c, target, **params)
+    assert phi.is_certified_lax
+    xy, yz, xz = (float_tol() if h is None else h for h in homs)
+    src = build_category(c, "xyz", [[0.0, xy, xz], [math.inf, 0.0, yz], [math.inf, math.inf, 0.0]])
+    want = (
+        "composition axiom fails on ('x', 'y', 'z'): hom('x','y') * hom('y','z') "
+        f"not below hom('x','z') (pushforward through {phi.name})"
+    )
+    for push in (
+        lambda: pushforward(src, phi),
+        lambda: hetero_series(identity_problem(src), identity_problem(src), phi, phi),
+    ):
+        with pytest.raises(CategoryError) as err:
+            push()
+        assert str(err.value) == want

@@ -7,8 +7,10 @@ Each law is checked on 16 seeds of every family of wide_families(),
 both sides composed with validation on.  The interfaces have one or two
 objects, so every composite stays below OUTER_MIN_CELLS cells and is
 checked by the one-broadcast bimodule check, never by the moved kernel.
-Values agree exactly on exact carriers and within tol on float ones
-(q.equal): the two sides join and multiply in another order.
+At size, on 4 seeds, each law's interfaces are large enough that some
+check runs the edge test or the moved kernel.  Values agree exactly on
+exact carriers and within tol on float ones (q.equal): the two sides join
+and multiply in another order.
 """
 
 import random
@@ -36,6 +38,7 @@ from conftest import (
 )
 
 SEEDS = range(16)
+SMALL = (1, 2)  # objects per interface: every composite under OUTER_MIN_CELLS cells
 
 
 def _same_values(q, got, want):
@@ -46,8 +49,8 @@ def _same_values(q, got, want):
             assert q.equal(g, w), (q.name, g, w)
 
 
-def _cats(q, rng, k):
-    return [random_category(q, rng, 1, 2) for _ in range(k)]
+def _cats(q, rng, k, sizes):
+    return [random_category(q, rng, *sizes) for _ in range(k)]
 
 
 def _swap_last(x, y, z):
@@ -58,30 +61,30 @@ def _swap_last(x, y, z):
     }
 
 
-def _interchange(q, rng):
-    a, b, c, d, e, g = _cats(q, rng, 6)
+def _interchange(q, rng, sizes=SMALL):
+    a, b, c, d, e, g = _cats(q, rng, 6, sizes)
     d1, d2 = random_problem(a, b, rng), random_problem(c, d, rng)
     e1, e2 = random_problem(b, e, rng), random_problem(d, g, rng)
     return series(parallel(d1, d2), parallel(e1, e2)), parallel(series(d1, e1), series(d2, e2))
 
 
-def _vanishing(q, rng):
+def _vanishing(q, rng, sizes=SMALL):
     # d reindexed over r (x) I and f (x) I, for the one-object unit I
-    r, f = _cats(q, rng, 2)
+    r, f = _cats(q, rng, 2, sizes)
     unit = discrete_category(q, ["i"])
     d = random_problem(r, f, rng)
     return trace(build_problem(tensor(r, unit), tensor(f, unit), d.values), unit), d
 
 
-def _yanking(q, rng):
-    (m,) = _cats(q, rng, 1)
+def _yanking(q, rng, sizes=SMALL):
+    (m,) = _cats(q, rng, 1, sizes)
     return trace(symmetry_problem(m, m), m), identity_problem(m)
 
 
-def _superposing(q, rng):
-    while True:  # the reassociations' (r s m)**2 and (f g m)**2 cells stay small
-        r, f, s, g = _cats(q, rng, 4)
-        if len(r.objects) * len(s.objects) < 4 and len(f.objects) * len(g.objects) < 4:
+def _superposing(q, rng, sizes=SMALL, most=3):
+    while True:  # most bounds the reassociations' (r s m)**2 and (f g m)**2 cells
+        r, f, s, g = _cats(q, rng, 4, sizes)
+        if len(r.objects) * len(s.objects) <= most and len(f.objects) * len(g.objects) <= most:
             break
     m = random_category(q, rng, 2, 2)
     d = random_problem(tensor(r, m), tensor(f, m), rng)
@@ -91,8 +94,8 @@ def _superposing(q, rng):
     return trace(series(series(into, parallel(d, e)), out), m), parallel(trace(d, m), e)
 
 
-def _tightening(q, rng):
-    r0, r, f, f1, m = _cats(q, rng, 5)
+def _tightening(q, rng, sizes=SMALL):
+    r0, r, f, f1, m = _cats(q, rng, 5, sizes)
     a, b = random_problem(r0, r, rng), random_problem(f, f1, rng)
     d = random_problem(tensor(r, m), tensor(f, m), rng)
     ident = identity_problem(m)
@@ -100,8 +103,8 @@ def _tightening(q, rng):
     return left, series(series(a, trace(d, m)), b)
 
 
-def _sliding(q, rng):
-    r, f, m, n = _cats(q, rng, 4)
+def _sliding(q, rng, sizes=SMALL):
+    r, f, m, n = _cats(q, rng, 4, sizes)
     d = random_problem(tensor(r, n), tensor(f, m), rng)
     g = random_problem(m, n, rng)
     left = trace(series(d, parallel(identity_problem(f), g)), n)
@@ -118,17 +121,46 @@ LAWS = {
 }
 
 
-@pytest.mark.parametrize("law", list(LAWS))
-def test_trace_axioms_hold_on_every_carrier(law, monkeypatch):
-    checks, dense = [], []
-    for name, calls in (("bimodule_violation", checks), ("moved", dense)):
+# per law, interfaces whose composites reach OUTER_MIN_CELLS cells: vanishing's
+# 8 x 8 table, superposing's reassociations over 2 x 2 x 2 objects
+AT_SIZE = {
+    "interchange": dict(sizes=(3, 4)),
+    "vanishing": dict(sizes=(8, 8)),
+    "yanking": dict(sizes=(3, 4)),
+    "superposing": dict(sizes=(2, 2), most=4),
+    "tightening": dict(sizes=(3, 4)),
+    "sliding": dict(sizes=(3, 4)),
+}
+
+
+def _record(monkeypatch, names):
+    """Per kernel name, the list of its calls from here on."""
+    calls = {name: [] for name in names}
+    for name in names:
         original = getattr(_fastpath, name)
         monkeypatch.setattr(
-            _fastpath, name, lambda *a, _f=original, _c=calls: _c.append(a) or _f(*a)
+            _fastpath, name, lambda *a, _f=original, _c=calls[name]: _c.append(a) or _f(*a)
         )
+    return calls
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+def test_trace_axioms_hold_on_every_carrier(law, monkeypatch):
+    calls = _record(monkeypatch, ("bimodule_violation", "moved"))
     for name, mk in wide_families().items():
         q = mk()
         for seed in SEEDS:
             left, right = LAWS[law](q, random.Random(seed))
             _same_values(q, left, right)
-    assert checks and dense == []
+    assert calls["bimodule_violation"] and calls["moved"] == []
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+def test_trace_axioms_hold_at_size(law, monkeypatch):
+    calls = _record(monkeypatch, ("edges_hold", "moved"))
+    for name, mk in wide_families().items():
+        q = mk()
+        for seed in range(4):
+            left, right = LAWS[law](q, random.Random(seed), **AT_SIZE[law])
+            _same_values(q, left, right)
+    assert calls["edges_hold"] or calls["moved"]
