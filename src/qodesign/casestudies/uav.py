@@ -14,15 +14,18 @@ Two formulations share one physics kernel:
 * a powerset formulation over subsets of (actuator, battery) pairs, where
   the composite maps a budget and payload to the set of loadouts that fit.
 
-The two agree exactly: a pair appears in the powerset answer at budget B
-iff the cost composite restricted to that pair is at most B.
+Both hardware stages are built from per-pair thresholds: a pair fits under
+a suffix of the ascending claimed weights.  The two agree exactly: a pair
+appears in the powerset answer at budget B iff the cost composite
+restricted to that pair is at most B.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -34,6 +37,7 @@ from ..categories import (
     nat_grid_category,
     pair_name,
 )
+from ..errors import ProblemError
 from ..lax import builtin_lax, pair_elt
 from ..model import ModelDocument
 from ..problems import build_problem
@@ -72,7 +76,8 @@ class BatterySpec:
         return energy_wh / self.wh_per_dollar
 
 
-def _load_parameters():
+@cache
+def _params():
     path = resources.files("qodesign.casestudies").joinpath(
         "data/uav_parameters.json"
     )
@@ -80,16 +85,6 @@ def _load_parameters():
     acts = tuple(ActuatorSpec(**a) for a in raw["actuators"])
     bats = tuple(BatterySpec(**b) for b in raw["batteries"])
     return acts, bats
-
-
-_PARAMS = None
-
-
-def _params():
-    global _PARAMS
-    if _PARAMS is None:
-        _PARAMS = _load_parameters()
-    return _PARAMS
 
 
 def default_actuators() -> tuple:
@@ -129,6 +124,14 @@ class UavTaskSpec:
     payload_grid: tuple = tuple(range(100, 2901, 200))
     budget_grid: tuple = (60, 80, 100, 120, 160, 240)
 
+    def __post_init__(self):
+        for field in ("weight_grid", "payload_grid"):  # searched, and chained as given
+            grid = tuple(getattr(self, field))
+            for lo, hi in zip(grid, grid[1:]):
+                if not lo < hi:
+                    raise ProblemError(f"UavTaskSpec.{field} must be strictly "
+                                       f"ascending, but {lo!r} comes before {hi!r}")
+
     @property
     def v_req_mps(self) -> float:
         return self.distance_m / self.period_s
@@ -164,64 +167,54 @@ def _penalty_map(task: UavTaskSpec):
     )
 
 
-def _pair_tables(task, actuators, batteries, penalty, keep_pairs):
-    """Vectorized physics shared by both formulations.
+def _pair_steps(task, actuators, batteries):
+    """The physics of both formulations, as one staircase per pair.
 
-    Returns (stage, totals): stage[k, w, p, w2] is the least hardware cost
-    over all pairs and cruise speeds given assumed total weight w and claimed
-    weight w2 (inf where nothing fits); totals maps each pair name to its own
-    table with the unserved-mission penalty added in.  The same arrays feed
-    the cost stage, the powerset masks, and the consistency check, so the
-    formulations agree to the last bit of float arithmetic.
-
-    Axes: k ascending served grid, w and w2 ascending weight grid, p
-    ascending payload grid.
+    Returns (cost, first) from one broadcast over (actuator, battery, speed,
+    weight), pair i running actuators outer and batteries inner as the Impl
+    base names them, speeds below v_req dropped.  cost[i, v, k, w] is the
+    hardware cost at served count k and assumed weight w, inf above the
+    actuator's vmax; first[i, v, w, p] is the least w2 with achieved weight
+    <= weights[w2] (nw where none), so the pair fits at every w2 >= first
+    as the weight grid ascends.  Floats keep the per-pair formulas' order.
     """
     served = np.array(task.served_grid, dtype=float)
     weights = np.array(task.weight_grid, dtype=float)
     payloads = np.array(task.payload_grid, dtype=float)
-    pen = np.array(
-        [penalty(task.missions_demanded - int(k)) for k in task.served_grid]
+    v = np.array([s for s in task.velocity_grid if s >= task.v_req_mps], dtype=float)
+    # axes (a, b, v, w, k or p)
+    act = lambda f: np.reshape([getattr(a, f) for a in actuators], (-1, 1, 1, 1, 1))
+    bat = lambda f: np.reshape([getattr(b, f) for b in batteries], (-1, 1, 1, 1))
+    speed = v[:, None, None]
+    lift = (weights / 1000.0 * GRAVITY_M_S2)[:, None]
+    power = (
+        act("p0_w")
+        + act("p1_w_per_n2") * lift * lift
+        + PERCEPTION_BASE_W
+        + PERCEPTION_PER_MPS_W * speed
     )
-    nk, nw, npay = len(served), len(weights), len(payloads)
-    shape = (nk, nw, npay, nw)
-    stage = np.full(shape, np.inf)
-    totals = {}
-    for act in actuators:
-        for bat in batteries:
-            best = np.full(shape, np.inf)
-            for v in task.velocity_grid:
-                if v < task.v_req_mps or v > act.vmax_mps:
-                    continue
-                lift = weights / 1000.0 * GRAVITY_M_S2
-                power = (
-                    act.p0_w
-                    + act.p1_w_per_n2 * lift * lift
-                    + PERCEPTION_BASE_W
-                    + PERCEPTION_PER_MPS_W * v
-                )
-                flight_s = 2.0 * task.distance_m / v
-                energy = power * flight_s / 3600.0
-                battery_g = energy / bat.wh_per_kg * 1000.0
-                unit = energy / bat.wh_per_dollar
-                maint = np.ceil(served / bat.cycles)
-                cost_kw = act.cost + unit[None, :] * maint[:, None]
-                achieved = (
-                    task.frame_g + act.weight_g + battery_g[:, None] + payloads[None, :]
-                )
-                fits = achieved[:, :, None] <= weights[None, None, :]
-                entry = np.where(
-                    fits[None, :, :, :], cost_kw[:, :, None, None], np.inf
-                )
-                np.minimum(best, entry, out=best)
-            np.minimum(stage, best, out=stage)
-            if keep_pairs:
-                totals[pair_elt(act.name, bat.name)] = best + pen[:, None, None, None]
-    return stage, totals
+    flight_s = 2.0 * task.distance_m / speed
+    energy = power * flight_s / 3600.0
+    battery_g = energy / bat("wh_per_kg") * 1000.0
+    unit = energy / bat("wh_per_dollar")
+    maint = np.ceil(served / bat("cycles"))
+    cost = (act("cost") + unit * maint).swapaxes(-1, -2)
+    cost = np.where(speed <= act("vmax_mps"), cost, np.inf)
+    achieved = task.frame_g + act("weight_g") + battery_g + payloads
+    first = np.searchsorted(weights, achieved, "left")
+    pairs = (len(actuators) * len(batteries), len(v))
+    return cost.reshape(pairs + cost.shape[3:]), first.reshape(pairs + first.shape[3:])
 
 
-def _descending(names) -> tuple:
-    return tuple(str(n) for n in sorted(names, reverse=True))
+def _staircase(op, base, slot, values):
+    """Fold values into base at slot along its last axis with ufunc op, run
+    op up that axis, and return base without its last slot, which holds
+    the steps that start nowhere on the grid."""
+    rows = np.arange(0, base.size, base.shape[-1]).reshape(base.shape[:-1])
+    index = slot + rows
+    op.at(base.reshape(-1), index.ravel(), np.broadcast_to(values, index.shape).ravel())
+    op.accumulate(base, axis=-1, out=base)
+    return base[..., :-1]
 
 
 def _str_grid(values) -> tuple:
@@ -257,7 +250,7 @@ def uav_cost_model(
     doc.add_map("keep_cost", builtin_lax("identity", qc, qc, name="keep_cost"))
 
     served_names = _str_grid(task.served_grid)
-    weight_names = _descending(task.weight_grid)
+    weight_names = _str_grid(task.weight_grid[::-1])
     payload_names = _str_grid(task.payload_grid)
 
     doc.add_category("Mission", discrete_category(qn, ("task",)), ("discrete",))
@@ -278,7 +271,11 @@ def uav_cost_model(
         "ServedN",
     )
 
-    stage, _ = _pair_tables(task, actuators, batteries, penalty, keep_pairs=False)
+    # stage[k, w, p, w2]: the least cost over pairs and speeds that fit
+    cost, first = _pair_steps(task, actuators, batteries)
+    nw = len(task.weight_grid)
+    stage = np.full((len(served_names), nw, len(payload_names), nw + 1), np.inf)
+    stage = _staircase(np.minimum, stage, first[:, :, None], cost[..., None])
     doc.add_problem(
         "stage",
         build_problem(loop_in, loop_out, _tensor_rows(stage)),
@@ -346,7 +343,7 @@ def _add_component_problems(doc, task, actuators, batteries):
     )
     doc.add_category(
         "WeightAllow",
-        chain_category(qc, _descending(_BATTERY_ALLOWANCE_GRID)),
+        chain_category(qc, _str_grid(_BATTERY_ALLOWANCE_GRID[::-1])),
         ("chain",),
     )
     doc.add_tensor_category("Storage", "Energy", "WeightAllow")
@@ -354,7 +351,7 @@ def _add_component_problems(doc, task, actuators, batteries):
     for k in task.served_grid:
         row = []
         for e_wh in _BATTERY_ENERGY_GRID:
-            for allow_g in _descending(_BATTERY_ALLOWANCE_GRID):
+            for allow_g in _str_grid(_BATTERY_ALLOWANCE_GRID[::-1]):
                 feasible = [
                     b.unit_cost(e_wh) * math.ceil(k / b.cycles)
                     for b in batteries
@@ -395,7 +392,7 @@ def uav_powerset_model(
 
     budget_names = _str_grid(task.budget_grid)
     served_names = _str_grid(task.served_grid)
-    weight_names = _descending(task.weight_grid)
+    weight_names = _str_grid(task.weight_grid[::-1])
     payload_names = _str_grid(task.payload_grid)
 
     doc.add_category("Budget", chain_category(qb, budget_names), ("chain",))
@@ -419,18 +416,21 @@ def uav_powerset_model(
         "Choice",
     )
 
+    # stage[(b, k, w), (p, w2)]: bit i, for pairs[i], is set from w2 = lo on:
+    # the least first over the speeds whose cost plus penalty fits budget b,
+    # exact as float addition is monotone.  A pair adds its bit once per
+    # row, so the sums are the unions.
     penalty = _penalty_map(task)
-    _, totals = _pair_tables(task, actuators, batteries, penalty, keep_pairs=True)
-    # stage[(b, k, w), (p, w2)]: bit i set when pairs[i], the Impl base's
-    # i-th name, fits budget b; weights descending as in _tensor_rows
-    nb, nk = len(task.budget_grid), len(task.served_grid)
-    nw, npay = len(task.weight_grid), len(task.payload_grid)
-    budgets = np.array(task.budget_grid, dtype=float)[:, None, None, None, None]
-    packed = np.zeros((nb, nk, nw, npay, nw), dtype=np.uint64)
-    for i, name in enumerate(pairs):
-        fits = totals[name][None, :, ::-1, :, ::-1] <= budgets
-        np.bitwise_or(packed, np.uint64(1 << i), out=packed, where=fits)
-    stage = packed.reshape(nb * nk * nw, npay * nw)
+    pen = np.array([penalty(task.missions_demanded - int(k)) for k in task.served_grid])
+    budgets = np.array(task.budget_grid, dtype=float)[:, None, None, None]
+    cost, first = _pair_steps(task, actuators, batteries)
+    nw = len(task.weight_grid)
+    fits = cost[:, None] + pen[:, None] <= budgets
+    lo = np.where(fits[..., None], first[:, None, :, None], nw).min(axis=2, initial=nw)
+    bits = np.array([1 << i for i in range(len(pairs))], dtype=np.uint64)
+    stage = np.zeros(lo.shape[1:] + (nw + 1,), dtype=np.uint64)
+    stage = _staircase(np.add, stage, lo, bits.reshape(-1, 1, 1, 1, 1))
+    stage = _tensor_rows(stage.reshape((-1,) + stage.shape[2:]))
     doc.add_problem("stage", build_problem(loop_in, loop_out, stage), "LoopIn", "LoopOut")
 
     _add_feasibility_problems(doc, task)

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qodesign import (
@@ -30,7 +31,15 @@ from qodesign import (
     pair_name,
     tensor,
 )
+from qodesign.casestudies.uav import (
+    GRAVITY_M_S2,
+    PERCEPTION_BASE_W,
+    PERCEPTION_PER_MPS_W,
+    _penalty_map,
+    _tensor_rows,
+)
 from qodesign.errors import QuantaleError
+from qodesign.lax import pair_elt
 
 
 def quantale_families():
@@ -295,6 +304,86 @@ def check_bimodule_via_hom(d: DesignProblem):
 def validate_via_hom(d: DesignProblem) -> bool:
     """Verdict of the hom-form bimodule check."""
     return check_bimodule_via_hom(d) is None
+
+
+# Between UavTaskSpec.coarse() and the full grids: LoopIn 870 x LoopOut 116.
+MID_GRID = dict(
+    velocity_grid=(1.5, 2.0, 2.5, 3.0),
+    weight_grid=tuple(range(200, 3001, 100)),
+    served_grid=(0, 250, 500, 750, 1000),
+    payload_grid=(100, 900, 1700, 2500),
+)
+
+
+def _pair_tables(task, actuators, batteries, penalty, keep_pairs):
+    """The UAV physics as full-size tables, one per pair and speed.
+
+    Returns (stage, totals): stage[k, w, p, w2] is the least hardware cost
+    over all pairs and cruise speeds given assumed total weight w and claimed
+    weight w2 (inf where nothing fits); totals maps each pair name to its own
+    table with the unserved-mission penalty added in.
+
+    Axes: k ascending served grid, w and w2 ascending weight grid, p
+    ascending payload grid.
+    """
+    served = np.array(task.served_grid, dtype=float)
+    weights = np.array(task.weight_grid, dtype=float)
+    payloads = np.array(task.payload_grid, dtype=float)
+    pen = np.array(
+        [penalty(task.missions_demanded - int(k)) for k in task.served_grid]
+    )
+    nk, nw, npay = len(served), len(weights), len(payloads)
+    shape = (nk, nw, npay, nw)
+    stage = np.full(shape, np.inf)
+    totals = {}
+    for act in actuators:
+        for bat in batteries:
+            best = np.full(shape, np.inf)
+            for v in task.velocity_grid:
+                if v < task.v_req_mps or v > act.vmax_mps:
+                    continue
+                lift = weights / 1000.0 * GRAVITY_M_S2
+                power = (
+                    act.p0_w
+                    + act.p1_w_per_n2 * lift * lift
+                    + PERCEPTION_BASE_W
+                    + PERCEPTION_PER_MPS_W * v
+                )
+                flight_s = 2.0 * task.distance_m / v
+                energy = power * flight_s / 3600.0
+                battery_g = energy / bat.wh_per_kg * 1000.0
+                unit = energy / bat.wh_per_dollar
+                maint = np.ceil(served / bat.cycles)
+                cost_kw = act.cost + unit[None, :] * maint[:, None]
+                achieved = (
+                    task.frame_g + act.weight_g + battery_g[:, None] + payloads[None, :]
+                )
+                fits = achieved[:, :, None] <= weights[None, None, :]
+                entry = np.where(
+                    fits[None, :, :, :], cost_kw[:, :, None, None], np.inf
+                )
+                np.minimum(best, entry, out=best)
+            np.minimum(stage, best, out=stage)
+            if keep_pairs:
+                totals[pair_elt(act.name, bat.name)] = best + pen[:, None, None, None]
+    return stage, totals
+
+
+def oracle_uav_stages(task, actuators, batteries):
+    """The `stage` arrays of the UAV cost and powerset models, built per
+    (pair, speed) with full-size masks: the construction the per-pair
+    thresholds replace."""
+    penalty = _penalty_map(task)
+    stage, totals = _pair_tables(task, actuators, batteries, penalty, keep_pairs=True)
+    pairs = tuple(pair_elt(a.name, b.name) for a in actuators for b in batteries)
+    nb, nk = len(task.budget_grid), len(task.served_grid)
+    nw, npay = len(task.weight_grid), len(task.payload_grid)
+    budgets = np.array(task.budget_grid, dtype=float)[:, None, None, None, None]
+    packed = np.zeros((nb, nk, nw, npay, nw), dtype=np.uint64)
+    for i, name in enumerate(pairs):
+        fits = totals[name][None, :, ::-1, :, ::-1] <= budgets
+        np.bitwise_or(packed, np.uint64(1 << i), out=packed, where=fits)
+    return _tensor_rows(stage), packed.reshape(nb * nk * nw, npay * nw)
 
 
 @pytest.fixture

@@ -34,6 +34,8 @@ from qodesign.casestudies.uav import (
     perception_power_w,
 )
 
+from conftest import MID_GRID
+
 PKG_ROOT = pathlib.Path(__file__).resolve().parents[1] / "src" / "qodesign"
 PARAMS_PATH = PKG_ROOT / "casestudies" / "data" / "uav_parameters.json"
 
@@ -212,6 +214,10 @@ def test_uav_restricted_cost_matches_oracle_exactly():
 
 def test_uav_formulations_consistent_on_coarse_grids():
     assert uav_consistency_report() == []
+
+
+def test_uav_formulations_consistent_on_mid_grids():
+    assert uav_consistency_report(UavTaskSpec(**MID_GRID)) == []
 
 
 def test_uav_selection_monotone_in_budget_antitone_in_payload():

@@ -22,9 +22,8 @@ from qodesign import (
 from qodesign import _fastpath
 from qodesign.categories import _hom_array
 
-from conftest import random_category, random_problem, wide_families
+from conftest import MID_GRID, random_category, random_problem, wide_families
 from test_model_io import MODELS_DIR
-from test_problems import MID_GRID
 
 SHIPPED = ("tracking", "tracking_bool", "uav_cost", "uav_powerset")
 

@@ -46,6 +46,7 @@ from qodesign import (
 )
 
 from conftest import (
+    MID_GRID,
     check_bimodule_via_hom,
     close_values,
     loop_axioms,
@@ -647,15 +648,6 @@ def test_float_edges_share_the_tolerance_along_a_path():
     d = build_problem(src, tgt, 1.0 + 0.8 * tol * steps + np.zeros((1, 4)), validate=False)
     want = loop_bimodule(d)
     assert want is not None and check_bimodule(d) == want
-
-
-# Between UavTaskSpec.coarse() and the full grids: LoopIn 870 x LoopOut 116.
-MID_GRID = dict(
-    velocity_grid=(1.5, 2.0, 2.5, 3.0),
-    weight_grid=tuple(range(200, 3001, 100)),
-    served_grid=(0, 250, 500, 750, 1000),
-    payload_grid=(100, 900, 1700, 2500),
-)
 
 
 def _stage_without_its_last_cell(task):
