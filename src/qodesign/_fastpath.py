@@ -37,7 +37,8 @@ bottom (the join of no values, so an empty interface needs no special
 case), the dtype, and the elementwise test "x is not below y within
 tol".  One matrix product, a broadcast per block of rows, serves every
 mode; series, both checks, the closure and trace are a few lines over
-that row.
+that row.  trace joins along the loop's diagonal, read as two views, so
+it allocates nothing of its input's size.
 
 Below OUTER_MIN_CELLS cells a check is one broadcast of its terms, the
 first violating one in row-major order the witness: category_violation
@@ -425,13 +426,12 @@ def edges_hold(mode, v, steps, tol):
 
 
 def trace_values(mode, d4, m):
-    """Feedback closure: join over (m, m') of d[(r,m),(f,m')] * M[m,m'].
+    """Feedback closure: join over m of d[(r,m),(f,m)] * M[m,m].
 
-    d4 has axes (r, m, f, m'); M has axes (m, m').  The join runs along
-    one axis, (m, m') in loop order, since an object row's join reduces
-    one axis at a time.
+    d4 has axes (r, m, f, m'); M has axes (m, m').  Both diagonals are
+    views; the join reduces the one loop axis.  On a bimodule this is the
+    join over every loop pair (m, m'): see problems.trace.
     """
     alg = _ALGEBRA[mode]
-    nr, nm, nf, _ = d4.shape
-    terms = alg.mult(d4, m[None, :, None, :]).transpose(0, 2, 1, 3)
-    return alg.join.reduce(terms.reshape(nr, nf, nm * nm), axis=2, initial=alg.bottom)
+    terms = alg.mult(d4.diagonal(0, 1, 3), m.diagonal())
+    return alg.join.reduce(terms, axis=2, initial=alg.bottom)

@@ -45,6 +45,7 @@ from ..problems import (
 )
 from ..quantales import (
     Quantale,
+    _fmt_number,
     bool_quantale,
     compatible,
     cost_quantale,
@@ -157,17 +158,7 @@ def _value_text(q: Quantale, payload) -> str:
 
 
 def _param_text(v) -> str:
-    if isinstance(v, float):
-        return q_float_text(v)
-    return str(v)
-
-
-def q_float_text(f: float) -> str:
-    if f == math.inf:
-        return "inf"
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
+    return _fmt_number(v) if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,15 @@ def _trace_factors(d: DesignProblem, loop: QCategory):
 def trace(d: DesignProblem, loop: QCategory, validate: bool = True) -> DesignProblem:
     """Feedback: close the loop factor shared by source and target.
 
-    For each outer pair the loop's provided value m' is fed back as the
-    required value m, weighted by hom_M(m, m'); the result joins over all
-    loop pairs.  An empty loop yields the all-bottom problem.
+    The result joins d((r,m),(f,m)) * hom_M(m, m) over the loop objects m:
+    some m fed back to itself.  That is the join over every loop pair of
+    d((r,m),(f,m')) * hom_M(m, m'), since on a bimodule each such term is
+    below d((r,m),(f,m)): take the law F[f*, f] * d[r, f] * R[r, r*] <=
+    d[r*, f*] at r = r* = (r,m), f = (f,m'), f* = (f,m), where F's hom is
+    at least hom_M(m, m') and R's at least the unit.  The unit is below
+    hom_M(m, m), so the diagonal term is d((r,m),(f,m)) itself.  On float
+    carriers the law, and so the equality, hold within tol.  An empty loop
+    yields the all-bottom problem.
     """
     r_cat, f_cat = _trace_factors(d, loop)
     q = d.quantale

@@ -305,7 +305,8 @@ def nat_quantale(name: str = "Nat") -> Quantale:
         _normalize=lambda x: int(x) if isinstance(x, float) and x != math.inf and x == int(x) else x,
         _hom=_nat_hom,
         _sample=lambda rng: rng.choice([0, 1, 2, 3, 5, 8, 13, 100, math.inf]),
-        _format=_fmt_number,
+        # ints exactly: float text drops digits from 2**53 on and the parser reads no exponent
+        _format=lambda v: str(v) if type(v) is int else _fmt_number(v),
     )
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from qodesign.cli import main
 
+from test_model_io import NAT_MODEL
+
 MODELS_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qodesign" / "models"
 TRACKING = str(MODELS_DIR / "tracking.model")
 UAV_COST = str(MODELS_DIR / "uav_cost.model")
@@ -138,6 +140,17 @@ def test_sweep_writes_files(tmp_path, capsys):
     blob = json.loads(json_path.read_text())
     assert blob["diagram"] == "tracking"
     assert blob["rows"] == ["5W", "10W", "20W"]
+
+
+def test_large_nats_print_exactly(tmp_path, capsys):
+    path = tmp_path / "nats.model"
+    path.write_text(NAT_MODEL.format(2**63))
+    assert main(["render", str(path)]) == 0
+    assert "  default: 9223372036854775808\n" in capsys.readouterr().out
+    assert main(["query", str(path), "--name", "q"]) == 0
+    assert "value         18446744073709551616" in capsys.readouterr().out
+    assert main(["sweep", str(path), "--name", "s", "--csv", "-"]) == 0
+    assert "a,18446744073709551616" in capsys.readouterr().out
 
 
 def test_sweep_unknown_name_fails(capsys):

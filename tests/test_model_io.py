@@ -388,6 +388,30 @@ def test_synthesized_document_with_every_construct_round_trips():
     assert doc.render() == rendered
 
 
+NAT_MODEL = (
+    "quantale N = nat\n"
+    "category A over N {{\n  objects: a\n  order: discrete\n}}\n"
+    "problem p : A -> A {{\n  default: {}\n}}\n"
+    "diagram twice = series(p, p)\n"
+    "query q {{\n  diagram: twice\n  resource: a\n  functionality: a\n}}\n"
+    "sweep s {{\n  diagram: twice\n}}\n"
+)
+
+
+@pytest.mark.parametrize("value", [10**15, 2**53 + 1, 2**63], ids=["1e15", "2^53+1", "2^63"])
+def test_large_nats_render_and_query_exactly(value):
+    # float text drops digits from 2**53 on, and nat's parser reads no
+    # point or exponent
+    doc = loads(NAT_MODEL.format(value), name="nats")
+    rendered = doc.render()
+    assert f"  default: {value}\n" in rendered
+    twin = loads(rendered, name="nats")
+    assert twin.problems["p"].value_payload("a", "a") == value
+    assert twin.render() == rendered
+    assert doc.run_query("q").rendered == str(2 * value)
+    assert doc.run_sweep("s").to_csv().splitlines()[1] == f"a,{2 * value}"
+
+
 def test_load_model_missing_file():
     with pytest.raises(FileNotFoundError):
         load_model("/tmp/definitely_not_here.model")

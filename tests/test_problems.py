@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -62,7 +63,8 @@ from conftest import (
     wide_families,
 )
 from qodesign import _fastpath
-from qodesign.categories import _generators, _leaves
+from qodesign.casestudies import UavTaskSpec, uav_cost_model, uav_powerset_model
+from qodesign.categories import _generators, _hom_array, _leaves
 from qodesign.quantales import broken_clone
 from qodesign.values import float_tol
 
@@ -923,6 +925,76 @@ def test_trace_matches_oracle(rng):
                 for j, v in enumerate(row):
                     assert same(got.values[i][j], v), name
             assert check_bimodule(got) is None
+
+
+def test_traces_at_size_match_the_oracle(monkeypatch):
+    # loops of 4 to 6 objects over 2 x 2 outer objects: every input has 64
+    # cells or more, so its check runs edges_hold or moved, and the oracle
+    # joins over every loop pair where trace reads the diagonal
+    checks = [_counting(monkeypatch, name) for name in ("edges_hold", "moved")]
+    for name, mk in wide_families().items():
+        q = mk()
+        same, rng = _same(q), random.Random(name)
+        for nm in (4, 5, 6):
+            loop = random_category(q, rng, nm, nm)
+            r_cat, f_cat = random_category(q, rng, 2, 2), random_category(q, rng, 2, 2)
+            d = random_problem(tensor(r_cat, loop), tensor(f_cat, loop), rng)
+            got, want = trace(d, loop).values, oracle_trace(d, loop)
+            assert all(same(g, w) for g_row, w_row in zip(got, want) for g, w in zip(g_row, w_row)), name
+    assert any(checks)
+
+
+def _loop_pairs_trace(mode, d4, m):
+    """trace's kernel as the join over every loop pair (m, m') of
+    d[(r,m),(f,m')] * M[m,m'], one (nr, nm, nf, nm) temporary."""
+    alg = _fastpath._ALGEBRA[mode]
+    nr, nm, nf, _ = d4.shape
+    terms = alg.mult(d4, m[None, :, None, :]).transpose(0, 2, 1, 3)
+    return alg.join.reduce(terms.reshape(nr, nf, nm * nm), axis=2, initial=alg.bottom)
+
+
+# per UAV formulation, its model builder and the loop its stage closes
+_UAV = {"cost": (uav_cost_model, "WeightLoop"), "powerset": (uav_powerset_model, "WeightLoopI")}
+
+
+@pytest.fixture(scope="module")
+def full_uav_docs():
+    return {f: build(UavTaskSpec()) for f, (build, _) in _UAV.items()}
+
+
+def _stage_trace(doc, formulation):
+    stage, loop = doc.problems["stage"], doc.categories[_UAV[formulation][1]]
+    return stage, loop, trace(stage, loop)
+
+
+@pytest.mark.parametrize("formulation", list(_UAV))
+def test_uav_stage_traces_equal_the_oracle_on_the_mid_grid(formulation):
+    build = _UAV[formulation][0]
+    stage, loop, out = _stage_trace(build(UavTaskSpec(**MID_GRID)), formulation)
+    q = stage.quantale
+    want = _fastpath.encode(q, _fastpath.mode_for(q), oracle_trace(stage, loop))
+    assert out._array.dtype == want.dtype and np.array_equal(out._array, want)
+
+
+@pytest.mark.parametrize("formulation", list(_UAV))
+def test_uav_stage_traces_equal_the_loop_pair_join_on_the_full_grid(full_uav_docs, formulation):
+    stage, loop, out = _stage_trace(full_uav_docs[formulation], formulation)
+    nm = len(loop.objects)
+    d4 = _hom_array(stage).reshape(len(out.source.objects), nm, len(out.target.objects), nm)
+    want = _loop_pairs_trace(_fastpath.mode_for(stage.quantale), d4, _hom_array(loop))
+    assert out._array.dtype == want.dtype and np.array_equal(out._array, want)
+
+
+def test_full_grid_trace_allocates_nothing_of_its_inputs_size(full_uav_docs):
+    # the loop-pair join's (126, 57, 15, 57) uint64 temporary alone is 49 MB
+    doc = full_uav_docs["powerset"]
+    tracemalloc.start()
+    try:
+        _stage_trace(doc, "powerset")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
 
 
 def test_trace_requires_tensor_shape(rng):
