@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 model or laxity failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import CodesignError
@@ -61,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lax-check", help="grade a declared map by evidence")
     _add_file(p)
     p.add_argument("--map", required=True, dest="map_name", help="map to check")
-    p.add_argument(
-        "--samples", type=int, default=200, help="sample budget (default 200)"
-    )
 
     p = sub.add_parser(
         "classify-lax", help="classify maps from a cost grid to bool"
@@ -147,7 +143,7 @@ def _cmd_lax_check(args) -> int:
         known = ", ".join(sorted(doc.maps)) or "none declared"
         print(f"unknown map {args.map_name!r} (known: {known})", file=sys.stderr)
         return 1
-    report = check_lax(doc.maps[args.map_name], samples=args.samples)
+    report = check_lax(doc.maps[args.map_name])
     print(report.format())
     return 0 if report.verdict in ("strict", "lax") else 1
 
@@ -158,7 +154,11 @@ def _cmd_classify(args) -> int:
         piece = piece.strip()
         if not piece:
             continue
-        grid.append(math.inf if piece == "inf" else float(piece))
+        try:
+            grid.append(float(piece))
+        except ValueError:
+            print(f"error: --grid: {piece!r} is not a number", file=sys.stderr)
+            return 2
     print(classify_cost_to_bool(grid).format())
     return 0
 

@@ -19,6 +19,7 @@ implies lax.  Built-in map constructors ship with closed-form verdicts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -29,7 +30,7 @@ from . import _fastpath
 from .categories import QCategory, _gate, _hom_array, _push, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
 from .problems import DesignProblem, _array_problem
-from .quantales import Quantale, compatible, make_powerset
+from .quantales import Quantale, _dedup, bool_quantale, compatible, cost_quantale, make_powerset
 from .values import float_tol
 
 LAX_VERDICTS = ("strict", "lax")
@@ -107,15 +108,7 @@ def _default_pool(q: Quantale, rng: Random):
     return [q.sample(rng) for _ in range(30)] + [q.unit, q.bottom]
 
 
-def _dedup(q: Quantale, pool):
-    out = []
-    for p in pool:
-        if not any(q.equal(p, o) for o in out):
-            out.append(p)
-    return out
-
-
-def check_lax(phi: LaxMap, samples: int = 200, rng: Random = None) -> LaxityReport:
+def check_lax(phi: LaxMap, rng: Random = None) -> LaxityReport:
     """Grade a map by evidence and record the verdict on the map.
 
     Finite sources up to 64 elements are checked exhaustively over all
@@ -137,9 +130,7 @@ def check_lax(phi: LaxMap, samples: int = 200, rng: Random = None) -> LaxityRepo
         else:
             pool = _default_pool(qs, rng)
         pool += [qs.normalize(p) for p in phi.probes]
-        pool = _dedup(qs, pool)
-        if len(pool) > 48:
-            pool = pool[:48]
+        pool = _dedup(qs, pool)[:48]
         exhaustive = False
 
     monotone_ok, lax_ok, oplax_ok = True, True, True
@@ -214,200 +205,200 @@ def pair_elt(a: str, b: str) -> str:
     return f"{a}*{b}"
 
 
-def _split_by_prefix(name: str, prefixes):
-    for a in sorted(prefixes, key=len, reverse=True):
-        if name.startswith(a + "*"):
-            return a, name[len(a) + 1 :]
-    return None
-
-
-def _split_by_suffix(name: str, suffixes):
-    for b in sorted(suffixes, key=len, reverse=True):
-        if name.endswith("*" + b):
-            return name[: -len(b) - 1], b
-    return None
-
-
-def _pad_components(source: Quantale, target: Quantale, side: str):
-    base = list(source.params["base"])
-    tbase = list(target.params["base"])
-    split = _split_by_prefix if side == "right" else _split_by_suffix
-    own = set(base)
-    other = []
-    for name in tbase:
-        parts = split(name, own)
-        if parts is None:
-            raise LaxityError(
-                f"target element {name!r} does not factor through the "
-                f"source base on the {side} pad"
-            )
-        piece = parts[1] if side == "right" else parts[0]
-        if piece not in other:
-            other.append(piece)
-    expect = {
-        pair_elt(a, b) if side == "right" else pair_elt(b, a)
-        for a in base
-        for b in other
-    }
-    if expect != set(tbase):
-        raise LaxityError(
-            "pad target base is not the full pairwise product of the "
-            "source base with a second base"
-        )
-    return other
-
-
 _COST_LIKE = ("cost", "nat")
-
-
-def builtin_lax(kind: str, source: Quantale, target: Quantale, name: str = None, **params) -> LaxMap:
-    """Construct one of the named map families.
-
-    Most kinds carry a closed-form verdict; cost_leq_threshold and table
-    are deliberately unverified so callers must run check_lax (or force).
-    """
-    nm = name or kind
-
-    def make(fn, verdict, counterexample=None, probes=(), provenance="analytic"):
-        return LaxMap(
-            nm,
-            source,
-            target,
-            fn,
-            kind,
-            dict(params),
-            verdict,
-            counterexample,
-            False,
-            provenance if verdict is not None else "declared",
-            tuple(probes),
-        )
-
-    if kind == "identity":
-        if not compatible(source, target):
-            raise LaxityError("identity map needs structurally equal quantales")
-        return make(lambda x: x, "strict")
-
-    if kind == "cost_to_bool_finite":
-        _expect(source.kind in _COST_LIKE, "source must be cost-like")
-        _expect(target.kind == "bool", "target must be bool")
-        return make(lambda c: c != math.inf, "lax")
-
-    if kind == "cost_to_bool_free":
-        _expect(source.kind in _COST_LIKE, "source must be cost-like")
-        _expect(target.kind == "bool", "target must be bool")
-        tol = float_tol() if source.kind == "cost" else 0
-        return make(lambda c: c <= tol, "lax")
-
-    if kind == "cost_constant_true":
-        _expect(source.kind in _COST_LIKE, "source must be cost-like")
-        _expect(target.kind == "bool", "target must be bool")
-        return make(lambda c: True, "lax")
-
-    if kind == "cost_leq_threshold":
-        _expect(source.kind in _COST_LIKE, "source must be cost-like")
-        _expect(target.kind == "bool", "target must be bool")
-        t = float(params["threshold"])
-        _expect(t > 0 and math.isfinite(t), "threshold must be positive finite")
-        tol = float_tol()
-        probes = (0.0, t / 3.0, t / 2.0, 0.51 * t, t, 2.0 * t)
-        if source.kind == "nat":
-            probes = tuple(sorted({int(p) for p in probes}))
-        return make(lambda c: c <= t + tol, None, probes=probes)
-
-    if kind == "bool_to_unit":
-        _expect(source.kind == "bool", "source must be bool")
-        unit, bottom = target.unit, target.bottom
-        return make(lambda b: unit if b else bottom, "strict")
-
-    if kind == "scale":
-        _expect(source.kind in _COST_LIKE, "source must be cost-like")
-        _expect(target.kind in _COST_LIKE, "target must be cost-like")
-        k = params["factor"]
-        if target.kind == "nat":
-            _expect(
-                source.kind == "nat" and isinstance(k, int) and k >= 1,
-                "nat target needs an integer factor on a nat source",
-            )
-        else:
-            k = float(k)
-            _expect(k > 0 and math.isfinite(k), "factor must be positive finite")
-        return make(lambda c: math.inf if c == math.inf else c * k, "strict")
-
-    if kind == "sqrt_cost":
-        _expect(source.kind in _COST_LIKE, "source must be cost-like")
-        _expect(target.kind == "cost", "target must be cost")
-        m = float(params["degree"])
-        scale = float(params.get("scale", 1.0))
-        _expect(m >= 1.0, "degree must be at least 1")
-        _expect(scale > 0 and math.isfinite(scale), "scale must be positive finite")
-        inv = 1.0 / m
-
-        def root(c):
-            return math.inf if c == math.inf else scale * float(c) ** inv
-
-        return make(root, "lax")
-
-    if kind == "powerset_pad_right":
-        _expect(source.kind == "powerset", "source must be a powerset")
-        _expect(target.kind == "powerset", "target must be a powerset")
-        other = _pad_components(source, target, "right")
-
-        def pad_r(s):
-            return frozenset(pair_elt(a, b) for a in s for b in other)
-
-        return make(pad_r, "strict")
-
-    if kind == "powerset_pad_left":
-        _expect(source.kind == "powerset", "source must be a powerset")
-        _expect(target.kind == "powerset", "target must be a powerset")
-        other = _pad_components(source, target, "left")
-
-        def pad_l(s):
-            return frozenset(pair_elt(a, b) for a in other for b in s)
-
-        return make(pad_l, "strict")
-
-    if kind == "powerset_nonempty":
-        _expect(source.kind == "powerset", "source must be a powerset")
-        _expect(target.kind == "bool", "target must be bool")
-        base = list(source.params["base"])
-        if len(base) >= 2:
-            # monotone and oplax, but two disjoint nonempty sets break laxity
-            w = (
-                "multiplicativity",
-                source.format_value(frozenset([base[0]])),
-                source.format_value(frozenset([base[1]])),
-            )
-            return make(lambda s: len(s) > 0, "oplax", counterexample=w)
-        return make(lambda s: len(s) > 0, None)
-
-    if kind == "table":
-        entries = params["entries"]
-        rows = [
-            (source.normalize(k), target.normalize(v)) for k, v in entries
-        ]
-        _expect(len(rows) > 0, "table must have entries")
-
-        def lookup(p):
-            for k, v in rows:
-                if source.equal(p, k):
-                    return v
-            raise QuantaleError(
-                f"{nm}: no table entry for {source.format_value_safe(p)}"
-            )
-
-        if source.is_finite:
-            for e in source.elements():
-                lookup(e)
-        return make(lookup, None)
-
-    raise LaxityError(f"unknown map kind {kind!r}")
 
 
 def _expect(cond: bool, msg: str):
     if not cond:
         raise LaxityError(msg)
+
+
+# Each constructor below takes (source, target, name, params), checks the
+# kind's parameters and returns the LaxMap fields it decides: fn, the
+# closed-form verdict (None where check_lax must grade the map), and any
+# counterexample or probes.
+
+
+def _identity(source, target, name, params):
+    if not compatible(source, target):
+        raise LaxityError("identity map needs structurally equal quantales")
+    return dict(fn=lambda x: x, verdict="strict")
+
+
+def _cost_to_bool_free(source, target, name, params):
+    tol = float_tol() if source.kind == "cost" else 0
+    return dict(fn=lambda c: c <= tol, verdict="lax")
+
+
+def _cost_leq_threshold(source, target, name, params):
+    t = float(params["threshold"])
+    _expect(t > 0 and math.isfinite(t), "threshold must be positive finite")
+    tol = float_tol()
+    probes = (0.0, t / 3.0, t / 2.0, 0.51 * t, t, 2.0 * t)
+    if source.kind == "nat":
+        probes = tuple(sorted({int(p) for p in probes}))
+    return dict(fn=lambda c: c <= t + tol, verdict=None, probes=probes)
+
+
+def _bool_to_unit(source, target, name, params):
+    unit, bottom = target.unit, target.bottom
+    return dict(fn=lambda b: unit if b else bottom, verdict="strict")
+
+
+def _scale(source, target, name, params):
+    k = params["factor"]
+    if target.kind == "nat":
+        _expect(
+            source.kind == "nat" and isinstance(k, int) and k >= 1,
+            "nat target needs an integer factor on a nat source",
+        )
+    else:
+        k = float(k)
+        _expect(k > 0 and math.isfinite(k), "factor must be positive finite")
+    return dict(fn=lambda c: math.inf if c == math.inf else c * k, verdict="strict")
+
+
+def _sqrt_cost(source, target, name, params):
+    m = float(params["degree"])
+    scale = float(params.get("scale", 1.0))
+    _expect(m >= 1.0, "degree must be at least 1")
+    _expect(scale > 0 and math.isfinite(scale), "scale must be positive finite")
+    inv = 1.0 / m
+
+    def root(c):
+        return math.inf if c == math.inf else scale * float(c) ** inv
+
+    return dict(fn=root, verdict="lax")
+
+
+def _pad(side):
+    """The constructor of a pad, which sends a set s to its pairs with
+    every element of a second base: a*b for a in s on the right pad, b*a
+    on the left one.  The second base is read off the target's names."""
+
+    def pair(a, b):
+        return pair_elt(a, b) if side == "right" else pair_elt(b, a)
+
+    def split(elt, a):
+        # the second base's part of elt, when its source part is a
+        if side == "right" and elt.startswith(a + "*"):
+            return elt[len(a) + 1 :]
+        if side == "left" and elt.endswith("*" + a):
+            return elt[: -len(a) - 1]
+        return None
+
+    def make(source, target, name, params):
+        base = list(source.params["base"])
+        tbase = list(target.params["base"])
+        longest_first = sorted(base, key=len, reverse=True)
+        other = []
+        for elt in tbase:
+            for a in longest_first:
+                piece = split(elt, a)
+                if piece is not None:
+                    break
+            else:
+                raise LaxityError(
+                    f"target element {elt!r} does not factor through the "
+                    f"source base on the {side} pad"
+                )
+            if piece not in other:
+                other.append(piece)
+        if {pair(a, b) for a in base for b in other} != set(tbase):
+            raise LaxityError(
+                "pad target base is not the full pairwise product of the "
+                "source base with a second base"
+            )
+        return dict(
+            fn=lambda s: frozenset(pair(a, b) for a in s for b in other),
+            verdict="strict",
+        )
+
+    return make
+
+
+def _powerset_nonempty(source, target, name, params):
+    base = list(source.params["base"])
+    if len(base) < 2:
+        return dict(fn=lambda s: len(s) > 0, verdict=None)
+    # monotone and oplax, but two disjoint nonempty sets break laxity
+    w = (
+        "multiplicativity",
+        source.format_value(frozenset([base[0]])),
+        source.format_value(frozenset([base[1]])),
+    )
+    return dict(fn=lambda s: len(s) > 0, verdict="oplax", counterexample=w)
+
+
+def _table(source, target, name, params):
+    rows = [
+        (source.normalize(k), target.normalize(v)) for k, v in params["entries"]
+    ]
+    _expect(len(rows) > 0, "table must have entries")
+
+    def lookup(p):
+        for k, v in rows:
+            if source.equal(p, k):
+                return v
+        raise QuantaleError(
+            f"{name}: no table entry for {source.format_value_safe(p)}"
+        )
+
+    if source.is_finite:
+        for e in source.elements():
+            lookup(e)
+    return dict(fn=lookup, verdict=None)
+
+
+# A carrier guard: the quantale kinds a side admits, and how its error
+# names them.
+_IS_COST_LIKE = (_COST_LIKE, "cost-like")
+_IS_COST = (("cost",), "cost")
+_IS_BOOL = (("bool",), "bool")
+_IS_POWERSET = (("powerset",), "a powerset")
+
+# kind: (source guard, target guard, constructor); a guard of None admits
+# every carrier
+_KINDS = {
+    "identity": (None, None, _identity),
+    "cost_to_bool_finite": (
+        _IS_COST_LIKE, _IS_BOOL,
+        lambda s, t, name, params: dict(fn=lambda c: c != math.inf, verdict="lax"),
+    ),
+    "cost_to_bool_free": (_IS_COST_LIKE, _IS_BOOL, _cost_to_bool_free),
+    "cost_constant_true": (
+        _IS_COST_LIKE, _IS_BOOL,
+        lambda s, t, name, params: dict(fn=lambda c: True, verdict="lax"),
+    ),
+    "cost_leq_threshold": (_IS_COST_LIKE, _IS_BOOL, _cost_leq_threshold),
+    "bool_to_unit": (_IS_BOOL, None, _bool_to_unit),
+    "scale": (_IS_COST_LIKE, _IS_COST_LIKE, _scale),
+    "sqrt_cost": (_IS_COST_LIKE, _IS_COST, _sqrt_cost),
+    "powerset_pad_right": (_IS_POWERSET, _IS_POWERSET, _pad("right")),
+    "powerset_pad_left": (_IS_POWERSET, _IS_POWERSET, _pad("left")),
+    "powerset_nonempty": (_IS_POWERSET, _IS_BOOL, _powerset_nonempty),
+    "table": (None, None, _table),
+}
+MAP_KINDS = tuple(_KINDS)
+
+
+def builtin_lax(kind: str, source: Quantale, target: Quantale, name: str = None, **params) -> LaxMap:
+    """Construct one of the named map families in MAP_KINDS.
+
+    Most kinds carry a closed-form verdict; cost_leq_threshold, table and
+    one-part powerset_nonempty are deliberately unverified so callers must
+    run check_lax (or force).
+    """
+    if kind not in _KINDS:
+        raise LaxityError(f"unknown map kind {kind!r}")
+    source_guard, target_guard, make = _KINDS[kind]
+    for side, q, guard in (("source", source, source_guard), ("target", target, target_guard)):
+        if guard is not None:
+            _expect(q.kind in guard[0], f"{side} must be {guard[1]}")
+    nm = name or kind
+    fields = make(source, target, nm, params)
+    provenance = "declared" if fields["verdict"] is None else "analytic"
+    return LaxMap(nm, source, target, kind=kind, params=dict(params), provenance=provenance, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +431,18 @@ class GridClassification:
         return "\n".join(lines)
 
 
-def _truncated_add(grid, a, b):
-    # smallest grid point at or above a+b; finite sums saturate at the
-    # largest finite point so the grid stays closed under addition
-    if a == math.inf or b == math.inf:
-        return math.inf
-    s = a + b
-    finite = [g for g in grid if g != math.inf]
-    for g in finite:
-        if g >= s:
-            return g
-    return finite[-1]
-
-
 def classify_cost_to_bool(grid: Sequence, quantale: Quantale = None) -> GridClassification:
     """Classify every map from a cost grid to bool by laxity.
 
     The grid must contain 0 and inf.  Multiplication is addition rounded
-    up to the grid (saturating below inf).  All 2^n truth tables are
-    tried; exactly three families survive: true only on 0, true on all
-    finite points, and constantly true.  The three are returned labeled
-    even when small grids make some of their tables coincide.
+    up to the grid (saturating below inf).  Of the 2^n truth tables only
+    the n + 1 monotone ones can be lax: the cost order is reversed, so a
+    monotone table is true on a prefix of the ascending grid.  Each prefix
+    is tried against a table of rounded sums; exactly three families
+    survive: true only on 0, true on all finite points, and constantly
+    true.  The three are returned labeled even when small grids make some
+    of their tables coincide.
     """
-    from .quantales import cost_quantale
-
     cq = quantale if quantale is not None else cost_quantale()
     _expect(cq.kind in _COST_LIKE, "grid must live in a cost-like quantale")
     pts = sorted({cq.normalize(g) for g in grid})
@@ -473,82 +452,52 @@ def classify_cost_to_bool(grid: Sequence, quantale: Quantale = None) -> GridClas
         raise LaxityError("grid needs at least two points")
 
     n = len(pts)
+    # at[i][j]: the index of pts[i] * pts[j], the smallest grid point at or
+    # above the sum; finite sums saturate at the largest finite point so
+    # the grid stays closed under addition
+    at = [
+        [n - 1 if math.inf in (a, b) else min(bisect_left(pts, a + b), n - 2) for b in pts]
+        for a in pts
+    ]
 
-    def is_lax_table(truth):
-        # monotone for reversed cost order: true-set downward closed in value
-        for i in range(n - 1):
-            if truth[i + 1] and not truth[i]:
-                return False
-        if not truth[0]:
-            return False  # unit: e' <= phi(0)
-        for i in range(n):
-            for j in range(n):
-                if truth[i] and truth[j]:
-                    s = _truncated_add(pts, pts[i], pts[j])
-                    if not truth[pts.index(s)]:
-                        return False
-        return True
+    def is_lax(k):
+        # the table true on the first k points; unit: e' <= phi(0)
+        return k > 0 and all(at[i][j] < k for i in range(k) for j in range(k))
 
-    def is_strict_table(truth):
-        if not is_lax_table(truth):
-            return False
-        if truth[0] is not True:
-            return False
-        for i in range(n):
-            for j in range(n):
-                s = truth[pts.index(_truncated_add(pts, pts[i], pts[j]))]
-                if s and not (truth[i] and truth[j]):
-                    return False
-        return True
+    def is_strict(k):
+        return is_lax(k) and all(
+            i < k and j < k for i in range(n) for j in range(n) if at[i][j] < k
+        )
 
-    lax_tables = []
-    monotone = 0
-    for mask in range(1 << n):
-        truth = tuple(bool(mask >> i & 1) for i in range(n))
-        if all(not (truth[i + 1] and not truth[i]) for i in range(n - 1)):
-            monotone += 1
-        if is_lax_table(truth):
-            lax_tables.append(truth)
+    def prefix(k):
+        return tuple(i < k for i in range(n))
 
-    canon = {
-        "only_free": tuple(g == 0 for g in pts),
-        "all_finite": tuple(g != math.inf for g in pts),
-        "always": tuple(True for _ in pts),
-    }
-    found = {tuple(t) for t in lax_tables}
-    expected = set(canon.values())
+    # each family is the prefix of the grid it is true on
+    canon = {"only_free": 1, "all_finite": n - 1, "always": n}
+    found = {prefix(k) for k in range(n + 1) if is_lax(k)}
+    expected = {prefix(k) for k in canon.values()}
     if found != expected:
         raise LaxityError(
             f"grid classification mismatch: found {sorted(found)}, "
             f"expected {sorted(expected)}"
         )
 
-    from .quantales import bool_quantale
-
     bq = bool_quantale()
     classes = []
-    for label, truth in canon.items():
-        entries = list(zip(pts, truth))
+    for label, k in canon.items():
+        entries = list(zip(pts, prefix(k)))
         phi = builtin_lax(
             "table", cq, bq, name=f"grid_{label}", entries=entries
         )
-        verdict = "strict" if is_strict_table(truth) else "lax"
-        phi.verdict = verdict
+        phi.verdict = "strict" if is_strict(k) else "lax"
         phi.provenance = "analytic"
-        classes.append(
-            GridLaxClass(
-                label,
-                tuple(p for p, t in entries if t),
-                verdict,
-                phi,
-            )
-        )
+        classes.append(GridLaxClass(label, tuple(pts[:k]), phi.verdict, phi))
     return GridClassification(
         tuple(pts),
         tuple(classes),
         tuple(sorted(found)),
         1 << n,
-        monotone,
+        n + 1,
     )
 
 
@@ -715,8 +664,6 @@ def catalog_problem(
         if c.quantale.kind != "bool":
             raise ProblemError(f"{label} order must be bool-enriched")
     pq = make_powerset(catalog.part_names(), name=f"P({catalog.name})")
-    from .quantales import bool_quantale
-
     emb = builtin_lax(
         "bool_to_unit", bool_quantale(), pq, name=f"into_{pq.name}"
     )

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ModelError
+from ..lax import MAP_KINDS
 
 _WORD_CHARS = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.*+/"
@@ -71,21 +72,6 @@ DIAGRAM_OPS = {
         "catalog", "catalog", "category", "category", "category",
     ),
 }
-
-MAP_KINDS = (
-    "identity",
-    "cost_to_bool_finite",
-    "cost_to_bool_free",
-    "cost_constant_true",
-    "cost_leq_threshold",
-    "bool_to_unit",
-    "scale",
-    "sqrt_cost",
-    "powerset_pad_right",
-    "powerset_pad_left",
-    "powerset_nonempty",
-    "table",
-)
 
 
 @dataclass(frozen=True)

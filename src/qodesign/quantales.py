@@ -524,18 +524,22 @@ class LawReport:
         return "\n".join(lines)
 
 
+def _dedup(q: Quantale, pool):
+    """The payloads of pool distinct under q.equal, in first-seen order."""
+    out = []
+    for p in pool:
+        if not any(q.equal(p, o) for o in out):
+            out.append(p)
+    return out
+
+
 def _law_pool(q: Quantale, samples: int, rng: Random):
     if q._elements is not None and len(q._elements) <= 40:
         return list(q._elements), True
     pool = [q.bottom, q.unit, q.top]
     for _ in range(max(4, samples)):
         pool.append(q.sample(rng))
-    # Dedupe while keeping order; payloads may be unhashable-free types.
-    out = []
-    for p in pool:
-        if not any(q.equal(p, o) for o in out):
-            out.append(p)
-    return out, False
+    return _dedup(q, pool), False
 
 
 def check_laws(q: Quantale, samples: int = 12, rng: Random = None) -> LawReport:

@@ -193,6 +193,13 @@ def test_classify_lax_bad_grid_fails(capsys):
     assert "grid must contain" in capsys.readouterr().err
 
 
+def test_classify_lax_non_numeric_point_is_usage_error(capsys):
+    assert main(["classify-lax", "--grid", "0,abc,inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --grid: 'abc' is not a number\n"
+    assert captured.out == ""
+
+
 def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["sweep", TRACKING])
