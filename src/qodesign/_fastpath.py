@@ -24,9 +24,12 @@ handle's own mult, join2 and leq to object arrays of payloads.  Products
 with a cost, nat or fuzz factor and handwritten handles run there,
 through the same kernels as the numeric modes.
 
-coder gives a payload's cell in the mode's array, for encode and for
-categories._rows_array, the door of payload rows; decode's payloads are
-in normal form.  nat's arrays and an object row's hold the payloads.
+coder gives the cell of a payload in q's normal form and raises for any
+other, so it tests membership in a numeric or bit-layout mode as outside
+does for arrays.  encode codes by it, and so does categories._rows_array,
+the door of payload rows, which normalizes only what it refuses: aliases.
+decode's payloads are in normal form.  nat's arrays and an object row's
+hold the payloads.
 Every table the package builds is held as its array and decoded when
 read.  as_array and outside take an array given as values: its cast to
 the numeric mode's dtype, and the cells that encode no carrier payload.
@@ -70,8 +73,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-_PACE_RANK = {"E": 0.0, "C": 1.0, "A": 2.0, "P": 3.0}
-_PACE_BY_RANK = ("E", "C", "A", "P")
+from .quantales import _PACE_BY_RANK, _PACE_RANK
 
 # From this many cells on decode_shared decodes each distinct value once,
 # and the checks flag by products (see above); below, each is one broadcast.
@@ -92,8 +94,12 @@ class _Algebra(NamedTuple):
 class _Layout(NamedTuple):
     width: int  # bits used
     chains: tuple  # (offset, width) of each chain field
-    code: Callable  # payload -> int
+    code: Callable  # payload in normal form -> int; raises for any other
     payload: Callable  # int -> payload, in normal form
+
+
+def _refuse(v):
+    raise ValueError(v)
 
 
 def _layout(q):
@@ -107,17 +113,21 @@ def _layout(q):
         codes = {v: (1 << r) - 1 for r, v in enumerate(ranks)}
         payloads = {c: v for v, c in codes.items()}
         chains = ((0, 3),) if q.kind == "pace" else ()  # one bit is always a prefix
-        layout = _Layout(len(ranks) - 1, chains, codes.__getitem__, payloads.__getitem__)
+        # a bool is its own code; 1 == True and hashes as it, so the type is tested
+        code = codes.__getitem__ if chains else lambda v: v if type(v) is bool else _refuse(v)
+        layout = _Layout(len(ranks) - 1, chains, code, payloads.__getitem__)
     elif q.kind == "powerset":
         base = q.params["base"]
         index = {b: 1 << i for i, b in enumerate(base)}
+        code = lambda v: sum(map(index.__getitem__, v)) if isinstance(v, frozenset) else _refuse(v)
         payload = lambda c: frozenset(b for i, b in enumerate(base) if c >> i & 1)
-        layout = _Layout(len(base), (), lambda v: sum(map(index.__getitem__, v)), payload)
+        layout = _Layout(len(base), (), code, payload)
     elif q.kind == "product" and None not in (parts := [_layout(f) for f in q.params["factors"]]):
         offsets = (0, *itertools.accumulate(p.width for p in parts))
         fields = [(p, o, (1 << p.width) - 1) for p, o in zip(parts, offsets)]
         chains = tuple((o + co, cw) for p, o, _ in fields for co, cw in p.chains)
-        code = lambda v: sum(p.code(x) << o for (p, o, _), x in zip(fields, v))
+        pairs = lambda v: zip(fields, v, strict=True) if isinstance(v, tuple) else _refuse(v)
+        code = lambda v: sum(p.code(x) << o for (p, o, _), x in pairs(v))
         payload = lambda c: tuple(p.payload(c >> o & m) for p, o, m in fields)
         layout = _Layout(offsets[-1], chains, code, payload)
     else:
@@ -193,27 +203,27 @@ def _holds_payloads(mode):
 
 
 def coder(q, mode):
-    """payload -> its cell in mode's array (a bool, pace rank, float or bit
-    code), or None where the cell is the payload: nat's, an object row's."""
-    if _holds_payloads(mode):
+    """payload -> its cell in mode's array (a bool, pace rank, float, bit
+    code, or nat's payload itself), for a payload in q's normal form only:
+    any other, an alias or an outsider, raises KeyError, TypeError or
+    ValueError.  None for an object row, whose cells are payloads."""
+    if mode not in _ALGEBRA:
         return None
-    if mode == "bool":
-        return bool
-    if mode in ("bits", "wide"):
+    if mode in ("bool", "bits", "wide"):
         return _layout(q).code
-    return _PACE_RANK.__getitem__ if q.kind == "pace" else float
+    if q.kind == "pace":
+        return _PACE_RANK.__getitem__
+    if mode == "nat":
+        return lambda v: v if type(v) is int and v >= 0 or v == math.inf else _refuse(v)
+    top = 1.0 if q.kind == "fuzz" else math.inf
+    return lambda v: v if isinstance(v, float) and 0.0 <= v <= top else _refuse(v)
 
 
 def encode(q, mode, rows):
+    """rows of payloads in q's normal form as mode's array, coded by coder."""
     n, m = len(rows), len(rows[0]) if rows else 0
-    code, cells = coder(q, mode), list(itertools.chain.from_iterable(rows))
-    if mode in ("bits", "wide"):
-        # one code per distinct payload (frozenset() of a frozenset is itself)
-        cells = list(map(frozenset, cells)) if q.kind == "powerset" else cells
-        codes = {v: code(v) for v in set(cells)}
-        cells = map(codes.__getitem__, cells)
-    elif code is not None:
-        cells = map(code, cells)
+    code, cells = coder(q, mode), itertools.chain.from_iterable(rows)
+    cells = cells if code is None else map(code, cells)
     return np.fromiter(cells, _ALGEBRA[mode].dtype, n * m).reshape(n, m)
 
 

@@ -116,16 +116,22 @@ def _interface_mismatch(a: QCategory, b: QCategory):
 def _rows_array(
     q: Quantale, row_names, col_names, rows, error, prefix: str = "", noun: str = "row"
 ):
-    """Payload rows as an array in q's kernel mode, shape checked.  Each
-    distinct payload object is normalized, and so checked for membership,
-    once (decode_shared's shared payloads cost one call), and coded by
-    _fastpath.coder.  Failures raise error naming the entry."""
+    """Payload rows as an array in q's kernel mode, shape checked.  A payload in
+    normal form is coded directly by _fastpath.coder, whose test is the mode's
+    membership; only one it refuses, an alias or an outsider, is normalized, to
+    its normal form or q's error.  An object row has no coder and normalizes
+    every payload.  Failures raise error naming the entry, in row-major order."""
     if len(rows) != len(row_names):
         raise error(f"{prefix}expected {len(row_names)} {noun}s, got {len(rows)}")
     n, mode = len(col_names), _fastpath.mode_for(q)
-    code = _fastpath.coder(q, mode)
-    done = {}  # id(payload) -> cell
-    alive = []  # the payloads keyed in done, so that no id is reused
+    code = _fastpath.coder(q, mode) or q.normalize
+
+    def cell(v):
+        try:
+            return code(v)
+        except (KeyError, TypeError, ValueError):  # not in normal form
+            return code(q.normalize(v))
+
     cells = []
     for i, row in enumerate(rows):
         row = list(row)
@@ -133,24 +139,23 @@ def _rows_array(
             raise error(
                 f"{prefix}{noun} for {row_names[i]!r} has {len(row)} entries, expected {n}"
             )
-        for j, v in enumerate(row):
-            c = done.get(id(v))
-            if c is None:
-                try:
-                    p = q.normalize(v)
-                except QuantaleError as exc:
-                    raise error(
-                        f"{prefix}entry ({row_names[i]!r}, {col_names[j]!r}): {exc}"
-                    ) from None
-                c = done[id(v)] = p if code is None else code(p)
-                alive.append(v)
-            cells.append(c)
+        try:
+            try:
+                cells += map(code, row)
+            except (KeyError, TypeError, ValueError):  # the row holds a refused payload
+                del cells[i * n :]
+                cells += map(cell, row)
+        except QuantaleError as exc:
+            j = len(cells) - i * n  # extend keeps the cells before the failing one
+            raise error(
+                f"{prefix}entry ({row_names[i]!r}, {col_names[j]!r}): {exc}"
+            ) from None
     return np.fromiter(cells, _fastpath._ALGEBRA[mode].dtype).reshape(len(rows), n)
 
 
 def _hold(q: Quantale, table, cols: int):
-    """table, payload rows (encoded unchecked, cols columns if none) or an array
-    in q's mode, held C-contiguous and read-only: no table writes a shared buffer."""
+    """table, payload rows in normal form (encoded unchecked, cols columns if none)
+    or an array in q's mode, held C-contiguous and read-only: no table writes a shared buffer."""
     if not isinstance(table, np.ndarray):
         table = _fastpath.encode(q, _fastpath.mode_for(q), table).reshape(len(table), cols)
     arr = np.ascontiguousarray(table)
@@ -161,14 +166,16 @@ def _hold(q: Quantale, table, cols: int):
 def check_category_axioms(q: Quantale, objects, hom):
     """Return None when both axioms hold, else a witness description.
 
-    hom is payload rows, or a category's hom as _hom_array holds it.  The
-    witness is ("identity", x), else the first ("composition", x, y, z) in
-    (x, z, y) order, which _fastpath.category_violation names.
+    hom is payload rows, which pass the door (_rows_array), or a category's
+    hom as _hom_array holds it.  The witness is ("identity", x), else the
+    first ("composition", x, y, z) in (x, z, y) order, which
+    _fastpath.category_violation names.
     """
     if len(objects) == 0:
         return None
     mode, tol = _fastpath.mode_for(q), float_tol()
-    h = hom if isinstance(hom, np.ndarray) else _fastpath.encode(q, mode, hom)
+    h = hom if isinstance(hom, np.ndarray) else _rows_array(
+        q, objects, objects, hom, CategoryError, "hom matrix: ")
     bad = _fastpath._first_true(_fastpath._ALGEBRA[mode].above(_unit(q), h.diagonal(), tol))
     if bad is not None:
         return ("identity", objects[bad[0]])

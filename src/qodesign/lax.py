@@ -30,7 +30,8 @@ from . import _fastpath
 from .categories import QCategory, _gate, _hom_array, _push, pushforward
 from .errors import CompositionError, LaxityError, ProblemError, QuantaleError
 from .problems import DesignProblem, _array_problem
-from .quantales import Quantale, _dedup, bool_quantale, compatible, cost_quantale, make_powerset
+from .quantales import (
+    Quantale, _dedup, _is_number, bool_quantale, compatible, cost_quantale, make_powerset)
 from .values import float_tol
 
 LAX_VERDICTS = ("strict", "lax")
@@ -357,27 +358,28 @@ _IS_COST = (("cost",), "cost")
 _IS_BOOL = (("bool",), "bool")
 _IS_POWERSET = (("powerset",), "a powerset")
 
-# kind: (source guard, target guard, constructor); a guard of None admits
-# every carrier
+# kind: (source guard, target guard, constructor, required parameters,
+# optional parameters); a guard of None admits every carrier.  Every
+# parameter is a number but the table's entries.
 _KINDS = {
-    "identity": (None, None, _identity),
+    "identity": (None, None, _identity, (), ()),
     "cost_to_bool_finite": (
         _IS_COST_LIKE, _IS_BOOL,
-        lambda s, t, name, params: dict(fn=lambda c: c != math.inf, verdict="lax"),
+        lambda s, t, name, params: dict(fn=lambda c: c != math.inf, verdict="lax"), (), (),
     ),
-    "cost_to_bool_free": (_IS_COST_LIKE, _IS_BOOL, _cost_to_bool_free),
+    "cost_to_bool_free": (_IS_COST_LIKE, _IS_BOOL, _cost_to_bool_free, (), ()),
     "cost_constant_true": (
         _IS_COST_LIKE, _IS_BOOL,
-        lambda s, t, name, params: dict(fn=lambda c: True, verdict="lax"),
+        lambda s, t, name, params: dict(fn=lambda c: True, verdict="lax"), (), (),
     ),
-    "cost_leq_threshold": (_IS_COST_LIKE, _IS_BOOL, _cost_leq_threshold),
-    "bool_to_unit": (_IS_BOOL, None, _bool_to_unit),
-    "scale": (_IS_COST_LIKE, _IS_COST_LIKE, _scale),
-    "sqrt_cost": (_IS_COST_LIKE, _IS_COST, _sqrt_cost),
-    "powerset_pad_right": (_IS_POWERSET, _IS_POWERSET, _pad("right")),
-    "powerset_pad_left": (_IS_POWERSET, _IS_POWERSET, _pad("left")),
-    "powerset_nonempty": (_IS_POWERSET, _IS_BOOL, _powerset_nonempty),
-    "table": (None, None, _table),
+    "cost_leq_threshold": (_IS_COST_LIKE, _IS_BOOL, _cost_leq_threshold, ("threshold",), ()),
+    "bool_to_unit": (_IS_BOOL, None, _bool_to_unit, (), ()),
+    "scale": (_IS_COST_LIKE, _IS_COST_LIKE, _scale, ("factor",), ()),
+    "sqrt_cost": (_IS_COST_LIKE, _IS_COST, _sqrt_cost, ("degree",), ("scale",)),
+    "powerset_pad_right": (_IS_POWERSET, _IS_POWERSET, _pad("right"), (), ()),
+    "powerset_pad_left": (_IS_POWERSET, _IS_POWERSET, _pad("left"), (), ()),
+    "powerset_nonempty": (_IS_POWERSET, _IS_BOOL, _powerset_nonempty, (), ()),
+    "table": (None, None, _table, ("entries",), ()),
 }
 MAP_KINDS = tuple(_KINDS)
 
@@ -391,10 +393,15 @@ def builtin_lax(kind: str, source: Quantale, target: Quantale, name: str = None,
     """
     if kind not in _KINDS:
         raise LaxityError(f"unknown map kind {kind!r}")
-    source_guard, target_guard, make = _KINDS[kind]
+    source_guard, target_guard, make, required, optional = _KINDS[kind]
     for side, q, guard in (("source", source, source_guard), ("target", target, target_guard)):
         if guard is not None:
             _expect(q.kind in guard[0], f"{side} must be {guard[1]}")
+    for p in (*required, *params):
+        _expect(p in params, f"map kind {kind!r} needs parameter {p!r}")
+        _expect(p in required + optional, f"map kind {kind!r} takes no parameter {p!r}")
+        v = params[p]
+        _expect(_is_number(v) or p == "entries", f"map kind {kind!r}: {p}={v!r} is not a number")
     nm = name or kind
     fields = make(source, target, nm, params)
     provenance = "declared" if fields["verdict"] is None else "analytic"

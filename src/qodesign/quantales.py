@@ -302,7 +302,7 @@ def nat_quantale(name: str = "Nat") -> Quantale:
         _join2=lambda p, q: p if p <= q else q,
         _mult=lambda p, q: p + q,
         _contains=_nat_contains,
-        _normalize=lambda x: int(x) if isinstance(x, float) and x != math.inf and x == int(x) else x,
+        _normalize=lambda x: int(x) if isinstance(x, float) and x.is_integer() else x,
         _hom=_nat_hom,
         _sample=lambda rng: rng.choice([0, 1, 2, 3, 5, 8, 13, 100, math.inf]),
         # ints exactly: float text drops digits from 2**53 on and the parser reads no exponent

@@ -2,9 +2,11 @@
 on first read, exactly as the payload path would normalize them."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qodesign import (
     CategoryError,
@@ -27,6 +29,7 @@ from qodesign import (
     trace,
 )
 from qodesign import _fastpath
+from qodesign.categories import _rows_array
 from qodesign.quantales import broken_clone
 from qodesign.lax import hetero_series
 
@@ -274,7 +277,7 @@ def _door_cases():
     (ints to float costs, integral floats to nats, lists and sets to
     frozensets, lists to product tuples), -0.0, inf, and nats past 2**63."""
     fams = wide_families()
-    ab = ["a", "b"]  # one object in three cells: normalized once
+    ab = ["a", "b"]  # one object in three cells: normalized in each
     return {
         "cost": (fams["cost"](), [[0, -0.0, math.inf], [3, 2.5, 0.0], [math.inf, 1, -0.0]]),
         "fuzz": (fams["fuzz_goguen"](), [[1, 0, 0.5], [0.25, 1.0, 0], [1, 1, 0.0]]),
@@ -288,20 +291,31 @@ def _door_cases():
     }
 
 
+def _normal(q, v):
+    """v is its own normal form, type for type and field by field."""
+    p = q.normalize(v)
+    if q.kind == "product":
+        return type(v) is tuple and all(map(_normal, q.params["factors"], v))
+    return type(p) is type(v) and p == v
+
+
 @pytest.mark.parametrize("case", list(_door_cases()))
 def test_row_built_tables_decode_as_the_normalized_rows(case, monkeypatch):
-    # rows are normalized once per payload object, into the kernel array;
-    # hom and values are decoded from it on first read, type for type as
-    # the payload rows normalize
+    # the door codes a payload in normal form directly and normalizes the
+    # others, the aliases, once per cell; an object row normalizes every
+    # cell.  hom and values are decoded from the kernel array on first
+    # read, type for type as the payload rows normalize
     q, rows = _door_cases()[case]
     objs = ("x", "y", "z")
+    coded = _fastpath.mode_for(q) is not q
+    refused = [v for row in rows for v in row if not (coded and _normal(q, v))]
     calls = []
     normalize = Quantale.normalize
     monkeypatch.setattr(
         Quantale, "normalize", lambda self, v: (self is q and calls.append(v)) or normalize(self, v)
     )
     c = build_category(q, objs, rows, validate=False)
-    assert len(calls) == len({id(v) for row in rows for v in row}), case
+    assert list(map(id, calls)) == list(map(id, refused)), case
     d = build_problem(discrete_category(q, objs), discrete_category(q, objs), rows, validate=False)
     monkeypatch.undo()
     assert "hom" not in vars(c) and "values" not in vars(d), case
@@ -318,6 +332,89 @@ def test_numpy_scalars_read_back_as_python_floats():
         d = build_problem(c, c, [[np.float64(0.5)]])
         assert type(normalize_table(q, ("x",), ("x",), [[np.float64(0.5)]], ProblemError)[0][0]) is np.float64
         assert type(d.values[0][0]) is float and d.values == ((0.5,),)
+
+
+class _Names(frozenset):
+    """A frozenset subclass: a powerset payload in normal form all the same."""
+
+
+# what the door may meet besides a carrier's samples: numpy scalars and
+# near-misses of every carrier, one of them unhashable
+NEAR_MISSES = (
+    True, False, 1, 0, 1.5, -1.0, -0.0, math.inf, float("nan"), 2**70,
+    np.float64(0.5), np.float64(-0.0), np.bool_(True), np.str_("A"), "A", "Z", ["A"],
+    (1, "A"), (True, "A"), [True, "A"], (True,), (True, 0.0), [False, 2],
+    "ab", frozenset({"zz"}), _Names({"a", "c"}), _Names({"n0", "n63"}), None,
+)
+
+
+def _alias(p):
+    """An alias q normalizes back to the payload p, or p where there is none:
+    a list for a set or a tuple, an int for an integral float and back."""
+    if isinstance(p, frozenset):
+        return sorted(p)
+    if isinstance(p, tuple):
+        return [_alias(x) for x in p]
+    if type(p) is float and p.is_integer():
+        return int(p)
+    return float(p) if type(p) is int else p
+
+
+def _door_agrees(q, rows):
+    """The door on rows against normalize_table: the same held array,
+    type-exact decoded rows or the same first error, and normalize called
+    on no payload the coder accepts."""
+    mode, nr, nf = _fastpath.mode_for(q), len(rows), max(map(len, rows))
+    rs, fs = tuple(f"r{i}" for i in range(nr)), tuple(f"f{j}" for j in range(nf))
+    try:
+        want = normalize_table(q, rs, fs, rows, ProblemError, noun="value row")
+    except ProblemError as exc:
+        want = exc
+    code, calls, normalize = _fastpath.coder(q, mode), [], Quantale.normalize
+    Quantale.normalize = lambda self, v: (self is q and calls.append(v)) or normalize(self, v)
+    try:
+        got = _rows_array(q, rs, fs, rows, ProblemError, noun="value row")
+    except ProblemError as exc:
+        got = exc
+    finally:
+        Quantale.normalize = normalize
+    for v in calls if code is not None else ():
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            code(v)
+    if isinstance(want, ProblemError):
+        assert str(got) == str(want)
+        return
+    held = _fastpath.encode(q, mode, want)
+    assert got.dtype == held.dtype
+    bits = (lambda a: a.view(np.uint64)) if got.dtype == float else (lambda a: a)
+    assert np.array_equal(bits(got), bits(held))  # -0.0 apart from 0.0
+    decoded = _fastpath.decode(q, mode, got)
+    _exactly(decoded, _fastpath.decode(q, mode, held))
+    assert decoded == [list(row) for row in want]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(wide_families())), seed=st.integers(0, 2**32 - 1))
+def test_row_door_equals_its_normalizing_oracle(family, seed):
+    # tables mixing samples, their aliases and near-misses, some a cell short
+    q, rng = wide_families()[family](), random.Random(seed)
+    nr, nf = rng.randint(1, 3), rng.randint(1, 3)
+    rows = [[q.sample(rng) for _ in range(nf)] for _ in range(nr)]
+    for row in rows:
+        for j, p in enumerate(row):
+            pick = rng.random()
+            row[j] = _alias(p) if pick < 0.3 else rng.choice(NEAR_MISSES) if pick < 0.45 else p
+    if rng.random() < 0.1:
+        rows[rng.randrange(nr)].pop()
+    _door_agrees(q, rows)
+
+
+@pytest.mark.parametrize("family", sorted(wide_families()))
+def test_row_door_meets_every_near_miss_as_its_oracle(family):
+    q = wide_families()[family]()
+    for v in NEAR_MISSES:
+        _door_agrees(q, [[q.unit, v]])
+        _door_agrees(q, [[v, q.bottom], [q.unit, v]])
 
 
 DOOR_ERRORS = [

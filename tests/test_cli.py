@@ -174,6 +174,21 @@ def test_lax_check_passes_certified_maps(tmp_path, capsys):
     assert "oplax" in out and "witness" in out
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ("", "map kind 'scale' needs parameter 'factor'"),
+        (", factor=two", "map kind 'scale': factor='two' is not a number"),
+        (", factor=2, bogus=1", "map kind 'scale' takes no parameter 'bogus'"),
+    ],
+)
+def test_bad_map_parameters_fail_validate(tmp_path, capsys, params, message):
+    model = tmp_path / "maps.model"
+    model.write_text(f"quantale C = cost\nmap m = scale(C -> C{params})\n")
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {message} (line 2, col 1) [m]\n"
+
+
 def test_lax_check_unknown_map(tmp_path, capsys):
     model = tmp_path / "maps.model"
     model.write_text("quantale C = cost\n")

@@ -104,6 +104,16 @@ PARAMETER_CHECKS = [
     ("powerset_pad_right", P2, make_powerset(["a*x", "a*y", "b*x"]), {},
      "pad target base is not the full pairwise product of the source base with a second base"),
     ("table", B, B, {"entries": []}, "table must have entries"),
+    ("scale", C, C, {}, "map kind 'scale' needs parameter 'factor'"),
+    ("table", B, B, {}, "map kind 'table' needs parameter 'entries'"),
+    ("sqrt_cost", C, C, {"scale": 2}, "map kind 'sqrt_cost' needs parameter 'degree'"),
+    ("scale", C, C, {"factor": 2, "bogus": 1}, "map kind 'scale' takes no parameter 'bogus'"),
+    ("identity", C, C, {"factor": 2}, "map kind 'identity' takes no parameter 'factor'"),
+    ("scale", C, C, {"factor": "2"}, "map kind 'scale': factor='2' is not a number"),
+    ("cost_leq_threshold", C, B, {"threshold": True},
+     "map kind 'cost_leq_threshold': threshold=True is not a number"),
+    ("sqrt_cost", C, C, {"degree": 2, "scale": None},
+     "map kind 'sqrt_cost': scale=None is not a number"),
     ("teleport", C, C, {}, "unknown map kind 'teleport'"),
 ]
 

@@ -542,6 +542,12 @@ DECL_FAILURES = [
      "grid order needs a cost or nat quantale"),
     ("map", "quantale C = cost\n", "map s = scale(C -> C, factor=0)",
      "factor must be positive finite"),
+    ("map without a parameter", "quantale C = cost\n", "map s = scale(C -> C)",
+     "map kind 'scale' needs parameter 'factor'"),
+    ("map with a text parameter", "quantale C = cost\n", "map s = scale(C -> C, factor=two)",
+     "map kind 'scale': factor='two' is not a number"),
+    ("map with an unknown parameter", "quantale C = cost\n",
+     "map s = scale(C -> C, factor=2, bogus=1)", "map kind 'scale' takes no parameter 'bogus'"),
     ("catalog", "",
      "catalog k { part a requires x provides y  part a requires y provides x }",
      "duplicate part name 'a'"),

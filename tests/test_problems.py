@@ -312,6 +312,37 @@ def test_nats_near_the_float_bounds_equal_the_oracle(seed):
         assert check_category_axioms(q, a.objects, h) == loop_axioms(q, a.objects, h)
 
 
+# floats at the edges of float64 and of the t-norms: subnormals, the
+# smallest normal, -0.0, and Lukasiewicz's clamps, where p - (1 - q) meets
+# 0 (p + q = 1, exactly or an ulp off) and 1 (p or q one ulp below 1)
+FLOAT_EDGES = (
+    0.0, -0.0, 5e-324, 1e-323, 2.2e-308, 2.2250738585072014e-308, 0.25, 0.5, 0.75,
+    0.5 + 2**-53, 0.5 - 2**-54, 1.0 - 2**-53, 1.0 - 2**-52, 1.0,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["cost", "fuzz_godel", "fuzz_goguen", "fuzz_lukasiewicz"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_float_edges_through_the_operators_equal_the_oracle(family, seed):
+    # series and parallel multiply and join the same pairs as their oracles,
+    # bit for bit; trace joins the loop's diagonal, which the oracle's
+    # every loop pair matches within tol
+    edges = FLOAT_EDGES + (math.inf,) * (family == "cost")
+    q = replace(quantale_families()[family](), _sample=lambda rng: rng.choice(edges))
+    rng = random.Random(seed)
+    a, b, c = (random_category(q, rng, 1, 3) for _ in range(3))
+    d1, d2, e = random_problem(a, b, rng), random_problem(b, c, rng), random_problem(c, a, rng)
+    _exactly(series(d1, d2).values, oracle_series(d1, d2))
+    _exactly(parallel(d1, e).values, oracle_parallel(d1, e))
+    loop = random_category(q, rng, 1, 3)
+    d = random_problem(tensor(a, loop), tensor(c, loop), rng)
+    for got, want in zip(trace(d, loop).values, oracle_trace(d, loop)):
+        assert all(map(q.equal, got, want)), (got, want)
+
+
 def test_nat_outputs_past_the_old_bound_keep_their_one_array():
     # 2**50 + 1 twice is past 2**51: the output and its check run nat's one
     # mode, so the output is held as the operator's array and not decoded
