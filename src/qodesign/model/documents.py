@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -45,7 +44,6 @@ from ..problems import (
 )
 from ..quantales import (
     Quantale,
-    _fmt_number,
     bool_quantale,
     compatible,
     cost_quantale,
@@ -56,27 +54,7 @@ from ..quantales import (
     pace_quantale,
 )
 from ..values import QValue
-from .parser import (
-    DIAGRAM_OPS,
-    CatalogDecl,
-    CategoryDecl,
-    DiagramDecl,
-    MapDecl,
-    ProblemDecl,
-    QuantaleDecl,
-    QueryDecl,
-    SweepDecl,
-    parse_model,
-)
-
-_PLAIN_NAME = re.compile(r"[A-Za-z0-9_.*+/][A-Za-z0-9_.*+/-]*")
-
-
-def name_token(name: str) -> str:
-    """Render a name as a bare word when possible, else quoted."""
-    if _PLAIN_NAME.fullmatch(name) and "->" not in name:
-        return name
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+from .parser import DIAGRAM_OPS, WORD, Decl, name_token, parse_model, write_decl
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +133,6 @@ def _value_text(q: Quantale, payload) -> str:
             + ")"
         )
     return q.format_value(payload)
-
-
-def _param_text(v) -> str:
-    return _fmt_number(v) if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +336,8 @@ class ModelDocument:
     # -- registration --------------------------------------------------------
 
     def _claim(self, section: str, name: str):
+        if not WORD.fullmatch(name):
+            raise ModelError(f"{section} name {name!r} is not a bare word", entity=name)
         if name in getattr(self, _REGISTRIES[section]):
             raise ModelError(f"duplicate {section} name {name!r}")
         self._order.append((section, name))
@@ -642,7 +618,10 @@ class ModelDocument:
     def render(self) -> str:
         out = []
         for section, name in self._order:
-            out.append(_RENDERERS[section](self, name))
+            try:
+                out.append(write_decl(section, name, _FIELDS[section](self, name)))
+            except ModelError as exc:
+                raise ModelError(exc.message, entity=exc.entity or name) from None
         return "\n".join(out) + "\n"
 
 
@@ -656,65 +635,7 @@ def _check_member(cat: QCategory, obj: str, what: str):
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
-
-
-def _render_quantale(doc: ModelDocument, name: str) -> str:
-    spec = doc._qspec[name]
-    kind = spec[0]
-    if kind in ("bool", "cost", "nat", "pace"):
-        return f"quantale {name} = {kind}"
-    if kind == "fuzz":
-        return f"quantale {name} = fuzz({spec[1]})"
-    if kind == "powerset":
-        inner = ", ".join(name_token(n) for n in spec[1:])
-        return f"quantale {name} = powerset({inner})"
-    inner = ", ".join(spec[1:])
-    return f"quantale {name} = product({inner})"
-
-
-def _matrix_lines(q, row_names, col_names, rows, indent):
-    """Default-compressed entry lines for a hom or values table."""
-    counts = {}
-    for row in rows:
-        for v in row:
-            t = _value_text(q, v)
-            counts[t] = counts.get(t, 0) + 1
-    default = max(sorted(counts), key=lambda t: counts[t])
-    lines = []
-    for rn, row in zip(row_names, rows):
-        for cn, v in zip(col_names, row):
-            t = _value_text(q, v)
-            if t != default:
-                lines.append(
-                    f"{indent}{name_token(rn)} -> {name_token(cn)} : {t}"
-                )
-    return default, lines
-
-
-def _render_category(doc: ModelDocument, name: str) -> str:
-    spec = doc._cspec[name]
-    if spec[0] == "tensor":
-        return f"category {name} = tensor({spec[1]}, {spec[2]})"
-    if spec[0] == "pushforward":
-        return f"category {name} = pushforward({spec[1]}, {spec[2]})"
-    cat = doc.categories[name]
-    qname = _quantale_name(doc, cat.quantale, f"category {name!r}")
-    lines = [f"category {name} over {qname} {{"]
-    objs = ", ".join(name_token(o) for o in cat.objects)
-    lines.append(f"  objects: {objs}")
-    if spec[0] in ("chain", "discrete", "grid"):
-        lines.append(f"  order: {spec[0]}")
-    else:
-        default, entries = _matrix_lines(
-            cat.quantale, cat.objects, cat.objects, cat.hom, "    "
-        )
-        lines.append(f"  default: {default}")
-        lines.append("  hom {")
-        lines.extend(entries)
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines)
+# the fields the writer reads, derived from the registries and specs
 
 
 def _quantale_name(doc: ModelDocument, q, context: str) -> str:
@@ -727,93 +648,74 @@ def _quantale_name(doc: ModelDocument, q, context: str) -> str:
     raise ModelError(f"{context}: its quantale is not registered in the document")
 
 
-def _render_map(doc: ModelDocument, name: str) -> str:
-    phi = doc.maps[name]
-    src = _quantale_name(doc, phi.source, f"map {name!r}")
-    tgt = _quantale_name(doc, phi.target, f"map {name!r}")
-    params = {
-        k: v for k, v in phi.params.items() if k != "entries"
+def _table_fields(q, row_names, col_names, rows, key: str) -> dict:
+    """A hom or values table as its most common value, the default, and
+    the entries of the other cells."""
+    texts = [[_value_text(q, v) for v in row] for row in rows]
+    counts = {}
+    for row in texts:
+        for t in row:
+            counts[t] = counts.get(t, 0) + 1
+    default = max(sorted(counts), key=counts.__getitem__)
+    entries = [
+        (rn, cn, t)
+        for rn, row in zip(row_names, texts)
+        for cn, t in zip(col_names, row)
+        if t != default
+    ]
+    return {"default": default, key: entries}
+
+
+def _category_fields(doc: ModelDocument, name: str) -> dict:
+    spec = doc._cspec[name]
+    if spec[0] in ("tensor", "pushforward"):
+        return dict(zip(("form", "first", "second"), spec))
+    cat = doc.categories[name]
+    fields = {
+        "quantale": _quantale_name(doc, cat.quantale, f"category {name!r}"),
+        "objects": cat.objects,
     }
-    ptext = "".join(
-        f", {k}={_param_text(v)}" for k, v in sorted(params.items())
-    )
-    head = f"map {name} = {phi.kind}({src} -> {tgt}{ptext})"
-    if phi.kind != "table":
-        return head
-    lines = [head + " {"]
-    for k, v in phi.params["entries"]:
-        lines.append(
-            f"  {_value_text(phi.source, k)} -> {_value_text(phi.target, v)}"
-        )
-    lines.append("}")
-    return "\n".join(lines)
+    if spec[0] in ("chain", "discrete", "grid"):
+        fields["order"] = spec[0]
+    else:
+        fields.update(_table_fields(cat.quantale, cat.objects, cat.objects, cat.hom, "hom"))
+    return fields
 
 
-def _render_catalog(doc: ModelDocument, name: str) -> str:
-    cat = doc.catalogs[name]
-    lines = [f"catalog {name} {{"]
-    for p in cat.parts:
-        lines.append(
-            f"  part {name_token(p.name)} requires {name_token(p.requires)} "
-            f"provides {name_token(p.provides)}"
-        )
-    lines.append("}")
-    return "\n".join(lines)
+def _map_fields(doc: ModelDocument, name: str) -> dict:
+    phi = doc.maps[name]
+    fields = {
+        "kind": phi.kind,
+        "source": _quantale_name(doc, phi.source, f"map {name!r}"),
+        "target": _quantale_name(doc, phi.target, f"map {name!r}"),
+        "params": {k: v for k, v in phi.params.items() if k != "entries"},
+    }
+    if phi.kind == "table":
+        fields["entries"] = [
+            (_value_text(phi.source, k), _value_text(phi.target, v))
+            for k, v in phi.params["entries"]
+        ]
+    return fields
 
 
-def _render_problem(doc: ModelDocument, name: str) -> str:
+def _problem_fields(doc: ModelDocument, name: str) -> dict:
     d = doc.problems[name]
-    src, tgt = doc._psrc[name]
-    lines = [f"problem {name} : {src} -> {tgt} {{"]
-    default, entries = _matrix_lines(
-        d.quantale, d.source.objects, d.target.objects, d.values, "    "
-    )
-    lines.append(f"  default: {default}")
-    lines.append("  values {")
-    lines.extend(entries)
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines)
+    source, target = doc._psrc[name]
+    table = _table_fields(d.quantale, d.source.objects, d.target.objects, d.values, "values")
+    return {"source": source, "target": target, **table}
 
 
-def _expr_text(expr) -> str:
-    if expr[0] == "ref":
-        return expr[1]
-    op = expr[0]
-    parts = []
-    for slot, arg in zip(DIAGRAM_OPS[op], expr[1:]):
-        parts.append(_expr_text(arg) if slot == "expr" else arg)
-    return f"{op}({', '.join(parts)})"
-
-
-def _render_diagram(doc: ModelDocument, name: str) -> str:
-    return f"diagram {name} = {_expr_text(doc.diagrams[name])}"
-
-
-def _render_query(doc: ModelDocument, name: str) -> str:
-    q = doc.queries[name]
-    return (
-        f"query {name} {{\n"
-        f"  diagram: {q.diagram}\n"
-        f"  resource: {name_token(q.resource)}\n"
-        f"  functionality: {name_token(q.functionality)}\n"
-        f"}}"
-    )
-
-
-def _render_sweep(doc: ModelDocument, name: str) -> str:
-    return f"sweep {name} {{\n  diagram: {doc.sweeps[name].diagram}\n}}"
-
-
-_RENDERERS = {
-    "quantale": _render_quantale,
-    "category": _render_category,
-    "map": _render_map,
-    "catalog": _render_catalog,
-    "problem": _render_problem,
-    "diagram": _render_diagram,
-    "query": _render_query,
-    "sweep": _render_sweep,
+_FIELDS = {
+    "quantale": lambda doc, name: dict(zip(("kind", "args"), (doc._qspec[name][0], doc._qspec[name][1:]))),
+    "category": _category_fields,
+    "map": _map_fields,
+    "catalog": lambda doc, name: {
+        "parts": [(p.name, p.requires, p.provides) for p in doc.catalogs[name].parts]
+    },
+    "problem": _problem_fields,
+    "diagram": lambda doc, name: {"expr": doc.diagrams[name]},
+    "query": lambda doc, name: vars(doc.queries[name]),
+    "sweep": lambda doc, name: vars(doc.sweeps[name]),
 }
 
 
@@ -821,25 +723,28 @@ _RENDERERS = {
 # building documents from parsed declarations
 
 
-def _build_quantale(doc: ModelDocument, decl: QuantaleDecl):
-    if decl.kind == "bool":
-        q = bool_quantale(decl.name)
-    elif decl.kind == "cost":
-        q = cost_quantale(decl.name)
-    elif decl.kind == "nat":
-        q = nat_quantale(decl.name)
-    elif decl.kind == "pace":
-        q = pace_quantale(decl.name)
-    elif decl.kind == "fuzz":
-        q = fuzz_quantale(decl.args[0], decl.name)
-    elif decl.kind == "powerset":
-        q = make_powerset(decl.args, decl.name)
-    else:
-        factors = [doc._get("quantale", n) for n in decl.args]
+_SCALARS = {
+    "bool": bool_quantale,
+    "cost": cost_quantale,
+    "nat": nat_quantale,
+    "pace": pace_quantale,
+}
+
+
+def _build_quantale(doc: ModelDocument, decl: Decl):
+    kind, args = decl.fields["kind"], decl.fields.get("args", ())
+    if kind == "fuzz":
+        q = fuzz_quantale(args[0], decl.name)
+    elif kind == "powerset":
+        q = make_powerset(args, decl.name)
+    elif kind == "product":
+        factors = [doc._get("quantale", n) for n in args]
         if len(factors) < 2:
             raise ModelError("product needs at least two factors")
         q = make_product(factors, decl.name)
-    doc.add_quantale(decl.name, q, (decl.kind,) + tuple(decl.args))
+    else:
+        q = _SCALARS[kind](decl.name)
+    doc.add_quantale(decl.name, q, (kind, *args))
 
 
 def _fill_matrix(q, row_names, col_names, entries, default, diag_unit, entity):
@@ -874,20 +779,22 @@ def _fill_matrix(q, row_names, col_names, entries, default, diag_unit, entity):
     return filled
 
 
-def _build_category(doc: ModelDocument, decl: CategoryDecl):
-    if decl.tensor_of is not None:
-        doc.add_tensor_category(decl.name, *decl.tensor_of)
+def _build_category(doc: ModelDocument, decl: Decl):
+    f = decl.fields
+    if "form" in f:
+        if f["form"] == "tensor":
+            doc.add_tensor_category(decl.name, f["first"], f["second"])
+        else:
+            doc.add_pushforward_category(decl.name, f["first"], f["second"])
         return
-    if decl.pushforward_of is not None:
-        doc.add_pushforward_category(decl.name, *decl.pushforward_of)
-        return
-    q = doc._get("quantale", decl.quantale)
-    objs = decl.objects
-    if decl.order == "chain":
+    q = doc._get("quantale", f["quantale"])
+    objs = f["objects"]
+    order = f.get("order")
+    if order == "chain":
         cat = chain_category(q, objs)
-    elif decl.order == "discrete":
+    elif order == "discrete":
         cat = discrete_category(q, objs)
-    elif decl.order == "grid":
+    elif order == "grid":
         if q.kind not in ("cost", "nat"):
             raise ModelError("grid order needs a cost or nat quantale")
         try:
@@ -900,63 +807,66 @@ def _build_category(doc: ModelDocument, decl: CategoryDecl):
             raise ModelError("grid objects must be strictly ascending")
         cat = _category(q, tuple(objs), _grid(q, nums))
     else:
-        hom = _fill_matrix(
-            q, objs, objs, decl.hom_entries, decl.default, True, decl.name
-        )
+        hom = _fill_matrix(q, objs, objs, f.get("hom", ()), f.get("default"), True, decl.name)
         cat = build_category(q, objs, hom)
-    doc.add_category(decl.name, cat, (decl.order or "table",))
+    doc.add_category(decl.name, cat, (order or "table",))
 
 
-def _build_map(doc: ModelDocument, decl: MapDecl):
-    src = doc._get("quantale", decl.source)
-    tgt = doc._get("quantale", decl.target)
-    params = dict(decl.params)
-    if decl.kind == "table":
+def _build_map(doc: ModelDocument, decl: Decl):
+    f = decl.fields
+    kind = f["kind"]
+    if kind != "table" and "entries" in f:
+        raise ModelError(f"map kind {kind!r} takes no table block")
+    if kind == "table" and "entries" not in f:
+        raise ModelError("table map needs a { from -> to ... } block")
+    src = doc._get("quantale", f["source"])
+    tgt = doc._get("quantale", f["target"])
+    params = dict(f["params"])
+    if kind == "table":
         params["entries"] = [
             (
-                _payload_from_tree(src, f, decl.name),
-                _payload_from_tree(tgt, t, decl.name),
+                _payload_from_tree(src, a, decl.name),
+                _payload_from_tree(tgt, b, decl.name),
             )
-            for f, t, _ in decl.table_entries
+            for a, b, _ in f["entries"]
         ]
-    phi = builtin_lax(decl.kind, src, tgt, decl.name, **params)
+    phi = builtin_lax(kind, src, tgt, decl.name, **params)
     if phi.verdict is None:
         check_lax(phi)
     doc.add_map(decl.name, phi)
 
 
-def _build_catalog(doc: ModelDocument, decl: CatalogDecl):
-    parts = tuple(CatalogPart(n, req, prov) for n, req, prov, _ in decl.parts)
+def _build_catalog(doc: ModelDocument, decl: Decl):
+    parts = tuple(CatalogPart(n, req, prov) for n, req, prov, _ in decl.fields["parts"])
     doc.add_catalog(decl.name, Catalog(decl.name, parts))
 
 
-def _build_problem(doc: ModelDocument, decl: ProblemDecl):
-    src = doc._get("category", decl.source)
-    tgt = doc._get("category", decl.target)
+def _build_problem(doc: ModelDocument, decl: Decl):
+    f = decl.fields
+    src = doc._get("category", f["source"])
+    tgt = doc._get("category", f["target"])
     vals = _fill_matrix(
         src.quantale,
         src.objects,
         tgt.objects,
-        decl.entries,
-        decl.default,
+        f.get("values", ()),
+        f.get("default"),
         False,
         decl.name,
     )
     d = build_problem(src, tgt, vals)
-    doc.add_problem(decl.name, d, decl.source, decl.target)
+    doc.add_problem(decl.name, d, f["source"], f["target"])
 
 
 _BUILDERS = {
-    QuantaleDecl: _build_quantale,
-    CategoryDecl: _build_category,
-    MapDecl: _build_map,
-    CatalogDecl: _build_catalog,
-    ProblemDecl: _build_problem,
-    DiagramDecl: lambda doc, d: doc.add_diagram(d.name, d.expr),
-    QueryDecl: lambda doc, d: doc.add_query(
-        d.name, d.diagram, d.resource, d.functionality
-    ),
-    SweepDecl: lambda doc, d: doc.add_sweep(d.name, d.diagram),
+    "quantale": _build_quantale,
+    "category": _build_category,
+    "map": _build_map,
+    "catalog": _build_catalog,
+    "problem": _build_problem,
+    "diagram": lambda doc, d: doc.add_diagram(d.name, d.fields["expr"]),
+    "query": lambda doc, d: doc.add_query(d.name, **d.fields),
+    "sweep": lambda doc, d: doc.add_sweep(d.name, **d.fields),
 }
 
 
@@ -969,7 +879,7 @@ def build_document(decls, name: str = "model") -> ModelDocument:
     """
     doc = ModelDocument(name)
     for decl in decls:
-        build = _BUILDERS.get(type(decl))
+        build = _BUILDERS.get(decl.kind)
         if build is None:
             raise ModelError(f"unknown declaration record {decl!r}")
         loc = decl.loc

@@ -1,60 +1,39 @@
-"""Tokenizer and syntactic parser for the declarative model format.
+"""The model format: its tokens, its syntax table, a reader and a writer.
 
 A model file declares, in dependency order: quantales, categories, lax
 maps, catalogs, design problems, diagrams (composition expressions),
-queries, and sweeps.  The parser is purely syntactic; name resolution,
-payload conversion, and validation happen in build_document.
-
-Grammar sketch (comments run # to end of line):
-
-    quantale NAME = bool | cost | nat | pace | fuzz(TNORM)
-                  | powerset(NAME, ...) | product(NAME, NAME, ...)
-
-    category NAME over QUANTALE {
-      objects: OBJ, OBJ, ...
-      order: chain | discrete | grid          # or an explicit table:
-      default: VALUE
-      hom { OBJ -> OBJ : VALUE ... }
-    }
-    category NAME = tensor(CAT, CAT)
-    category NAME = pushforward(CAT, MAP)
-
-    map NAME = KIND(QUANTALE -> QUANTALE, key=value, ...)
-    map NAME = table(QUANTALE -> QUANTALE) { VALUE -> VALUE ... }
-
-    catalog NAME { part PNAME requires OBJ provides OBJ ... }
-
-    problem NAME : CAT -> CAT {
-      default: VALUE
-      values { OBJ -> OBJ : VALUE ... }
-    }
-
-    diagram NAME = EXPR     # series(a, b), parallel(a, b), trace(a, CAT),
-                            # hetero_series(a, b, MAP, MAP), pushforward(a, MAP),
-                            # hetero_parallel(a, b, MAP, MAP),
-                            # hetero_trace(a, CAT, MAP), identity(CAT),
-                            # catalog_problem(CATALOG, CAT, CAT),
-                            # implementation_series(CATALOG, CATALOG, CAT, CAT, CAT)
-
-    query NAME { diagram: D  resource: OBJ  functionality: OBJ }
-    sweep NAME { diagram: D }
-
-Object names are bare words (letters, digits, ._*+/-) or double-quoted
-strings; tensor object names like "(10W,60)" always need quotes.
+queries, and sweeps.  SYNTAX states each declaration kind once.  The
+reader walks it to parse text into Decl records, and the writer walks it
+to print canonical text, so the two cannot disagree.  Reading is purely
+syntactic; name resolution, payload conversion, and validation happen in
+build_document.  docs/model_format.md describes the format for users.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import re
+from typing import NamedTuple
 
 from ..errors import ModelError
 from ..lax import MAP_KINDS
+from ..quantales import _fmt_number
 
-_WORD_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.*+/"
+# A bare word: a name written without quotes.  Any other name is written
+# as a double-quoted string.
+WORD = re.compile(r"[A-Za-z0-9_.*+/](?:[A-Za-z0-9_.*+/]|-(?!>))*")
+
+# Blanks and comments match no group, and a string's group is its body.
+_TOKEN = re.compile(
+    r"[ \t\r]+|#[^\n]*|(?P<nl>\n)"
+    rf"|(?P<word>{WORD.pattern})"
+    r'|"(?P<string>(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*)"'
+    r"|(?P<arrow>->)|(?P<punct>[{}\[\]():,=])|(?P<error>.)"
 )
-_PUNCT = set("{}[]():,=")
+_ESCAPE = re.compile(r'\\(["\\])')
+_LEXICAL = {
+    '"': "unterminated string",
+    "-": "stray '-' (names may not start with '-')",
+}
 
 # Operator -> argument slots: "expr" is a subexpression; any other slot
 # is a name looked up in that section of the document.
@@ -74,179 +53,49 @@ DIAGRAM_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # word | string | punct | arrow | eof
-    text: str
+class Token(NamedTuple):
+    kind: str  # word | string | punct | arrow | eof | error
+    text: str  # an error token's text is its message
     line: int
     col: int
 
 
-def tokenize(text: str, entity: str = None):
+def tokenize(text: str) -> list:
+    """The tokens of text, ending with eof.  A lexical fault ends them with
+    an error token instead, which the parser reports when it reaches it."""
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, bol = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "nl":
+            line, bol = line + 1, m.end()
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ModelError(
-                        "unterminated string", start_line, start_col, entity
-                    )
-                if text[i] == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ModelError("unterminated string", start_line, start_col, entity)
-            i += 1
-            col += 1
-            toks.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        if c == "-" :
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(Token("arrow", "->", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            # minus inside a numeric word such as 1e-06
-            raise ModelError(
-                "stray '-' (names may not start with '-')",
-                start_line,
-                start_col,
-                entity,
-            )
-        if c in _PUNCT:
-            toks.append(Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in _WORD_CHARS:
-            buf = []
-            while i < n:
-                ch = text[i]
-                if ch in _WORD_CHARS:
-                    buf.append(ch)
-                    i += 1
-                    col += 1
-                    continue
-                if (
-                    ch == "-"
-                    and not (i + 1 < n and text[i + 1] == ">")
-                ):
-                    buf.append(ch)
-                    i += 1
-                    col += 1
-                    continue
-                break
-            toks.append(Token("word", "".join(buf), start_line, start_col))
-            continue
-        raise ModelError(f"unexpected character {c!r}", line, col, entity)
-    toks.append(Token("eof", "", line, col))
+        body = m.group(kind)
+        if kind == "error":
+            body = _LEXICAL.get(body, f"unexpected character {body!r}")
+        elif kind == "string" and "\\" in body:
+            body = _ESCAPE.sub(r"\1", body)
+        toks.append(Token(kind, body, line, m.start() - bol + 1))
+        if kind == "error":
+            break
+    toks.append(Token("eof", "", line, len(text) - bol + 1))
     return toks
 
 
-# -- declaration records (purely syntactic) ---------------------------------
+def name_token(name: str) -> str:
+    """Render a name as a bare word when possible, else quoted."""
+    if WORD.fullmatch(name):
+        return name
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass(frozen=True)
-class Loc:
-    line: int
-    col: int
-
-
-@dataclass
-class QuantaleDecl:
+class Decl(NamedTuple):
+    kind: str  # a SYNTAX key
     name: str
-    kind: str
-    args: tuple
-    loc: Loc
-
-
-@dataclass
-class CategoryDecl:
-    name: str
-    quantale: Optional[str]
-    objects: tuple
-    order: Optional[str]  # chain | discrete | grid | None (explicit table)
-    default: Optional[tuple]
-    hom_entries: tuple  # ((from, to, valuetree, loc), ...)
-    tensor_of: Optional[tuple]
-    pushforward_of: Optional[tuple]  # (category name, map name)
-    loc: Loc
-
-
-@dataclass
-class MapDecl:
-    name: str
-    kind: str
-    source: str
-    target: str
-    params: dict
-    table_entries: tuple  # ((fromtree, totree, loc), ...)
-    loc: Loc
-
-
-@dataclass
-class CatalogDecl:
-    name: str
-    parts: tuple  # ((part, requires, provides, loc), ...)
-    loc: Loc
-
-
-@dataclass
-class ProblemDecl:
-    name: str
-    source: str
-    target: str
-    default: Optional[tuple]
-    entries: tuple  # ((from, to, valuetree, loc), ...)
-    loc: Loc
-
-
-@dataclass
-class DiagramDecl:
-    name: str
-    expr: tuple
-    loc: Loc
-
-
-@dataclass
-class QueryDecl:
-    name: str
-    diagram: str
-    resource: str
-    functionality: str
-    loc: Loc
-
-
-@dataclass
-class SweepDecl:
-    name: str
-    diagram: str
-    loc: Loc
+    fields: dict
+    loc: Token  # the declaration's keyword
 
 
 class _Parser:
@@ -254,9 +103,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.entity = entity
-        self.decl = None  # name of the declaration being parsed, once read
-
-    # -- token helpers
+        self.kw = self.name = None  # the declaration being read, once named
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -269,341 +116,107 @@ class _Parser:
 
     def fail(self, msg: str, tok: Token = None):
         tok = tok or self.peek()
-        raise ModelError(msg, tok.line, tok.col, self.decl or self.entity)
+        if tok.kind == "error":
+            msg = tok.text
+        raise ModelError(msg, tok.line, tok.col, self.name or self.entity)
 
-    def decl_name(self, what: str) -> str:
-        """The declaration's name; later errors in it are tagged with it."""
-        self.decl = self.expect_word(what).text
-        return self.decl
+    def at(self, text: str) -> bool:
+        t = self.toks[self.pos]
+        return t.text == text and t.kind != "string"
 
-    def expect_punct(self, ch: str) -> Token:
+    def expect(self, text: str):
         t = self.next()
-        if t.kind != "punct" or t.text != ch:
-            self.fail(f"expected {ch!r}, found {t.text!r}", t)
-        return t
+        if t.text != text or t.kind == "string":
+            self.fail(f"expected {text!r}, found {t.text!r}", t)
 
-    def expect_arrow(self) -> Token:
-        t = self.next()
-        if t.kind != "arrow":
-            self.fail(f"expected '->', found {t.text!r}", t)
-        return t
-
-    def expect_word(self, what="name") -> Token:
+    def word(self, what: str) -> Token:
         t = self.next()
         if t.kind != "word":
             self.fail(f"expected {what}, found {t.text!r}", t)
         return t
 
-    def expect_keyword(self, kw: str) -> Token:
+    def obj(self) -> str:
         t = self.next()
-        if t.kind != "word" or t.text != kw:
-            self.fail(f"expected {kw!r}, found {t.text!r}", t)
-        return t
-
-    def at_punct(self, ch: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == ch
-
-    def objref(self) -> str:
-        t = self.next()
-        if t.kind not in ("word", "string"):
+        if t.kind != "word" and t.kind != "string":
             self.fail(f"expected an object name, found {t.text!r}", t)
         return t.text
 
-    # -- value trees: ('atom', text) | ('set', (names...)) | ('tuple', (trees...))
+    def listed(self, read, closer: str) -> tuple:
+        """Items up to closer, commas optional; the closer stays unread."""
+        out = []
+        while not self.at(closer):
+            out.append(read())
+            if self.at(","):
+                self.next()
+        return tuple(out)
 
-    def value_tree(self):
-        t = self.peek()
-        if t.kind == "punct" and t.text == "[":
+    def objects(self) -> tuple:
+        """One or more object names with commas between."""
+        out = [self.obj()]
+        while self.at(","):
             self.next()
-            names = []
-            while not self.at_punct("]"):
-                names.append(self.objref())
-                if self.at_punct(","):
-                    self.next()
-            self.expect_punct("]")
-            return ("set", tuple(names), Loc(t.line, t.col))
-        if t.kind == "punct" and t.text == "(":
-            self.next()
-            parts = []
-            while not self.at_punct(")"):
-                parts.append(self.value_tree())
-                if self.at_punct(","):
-                    self.next()
-            self.expect_punct(")")
-            return ("tuple", tuple(parts), Loc(t.line, t.col))
-        if t.kind in ("word", "string"):
-            self.next()
-            return ("atom", t.text, Loc(t.line, t.col))
-        self.fail(f"expected a value, found {t.text!r}", t)
+            out.append(self.obj())
+        return tuple(out)
 
-    # -- statements
-
-    def document(self):
-        decls = []
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind != "word":
-                self.fail(f"expected a declaration keyword, found {t.text!r}", t)
-            handler = {
-                "quantale": self.quantale_stmt,
-                "category": self.category_stmt,
-                "map": self.map_stmt,
-                "catalog": self.catalog_stmt,
-                "problem": self.problem_stmt,
-                "diagram": self.diagram_stmt,
-                "query": self.query_stmt,
-                "sweep": self.sweep_stmt,
-            }.get(t.text)
-            if handler is None:
-                self.fail(f"unknown declaration {t.text!r}", t)
-            decls.append(handler())
-            self.decl = None
-        return decls
-
-    def quantale_stmt(self):
-        kw = self.next()
-        name = self.decl_name("quantale name")
-        self.expect_punct("=")
-        kind_tok = self.expect_word("quantale kind")
-        kind = kind_tok.text
-        args = ()
-        if kind in ("bool", "cost", "nat", "pace"):
-            pass
-        elif kind == "fuzz":
-            self.expect_punct("(")
-            args = (self.expect_word("t-norm").text,)
-            self.expect_punct(")")
-        elif kind in ("powerset", "product"):
-            self.expect_punct("(")
-            names = []
-            while not self.at_punct(")"):
-                names.append(self.objref())
-                if self.at_punct(","):
-                    self.next()
-            self.expect_punct(")")
-            args = tuple(names)
-        else:
-            self.fail(f"unknown quantale kind {kind!r}", kind_tok)
-        return QuantaleDecl(name, kind, args, Loc(kw.line, kw.col))
-
-    def category_stmt(self):
-        kw = self.next()
-        name = self.decl_name("category name")
+    def value(self):
+        """('atom', text, tok) | ('set', names, tok) | ('tuple', trees, tok)"""
         t = self.next()
-        if t.kind == "punct" and t.text == "=":
-            form = self.expect_word("category constructor")
-            if form.text not in ("tensor", "pushforward"):
-                self.fail(
-                    f"expected 'tensor' or 'pushforward', found {form.text!r}", form
-                )
-            self.expect_punct("(")
-            a = self.expect_word("category name").text
-            self.expect_punct(",")
-            b = self.expect_word("map name" if form.text == "pushforward" else "category name").text
-            self.expect_punct(")")
-            tensor_of = (a, b) if form.text == "tensor" else None
-            push_of = (a, b) if form.text == "pushforward" else None
-            return CategoryDecl(
-                name, None, (), None, None, (), tensor_of, push_of,
-                Loc(kw.line, kw.col),
-            )
-        if not (t.kind == "word" and t.text == "over"):
-            self.fail(f"expected 'over' or '=', found {t.text!r}", t)
-        quantale = self.expect_word("quantale name").text
-        self.expect_punct("{")
-        objects, order, default, entries = None, None, None, []
-        while not self.at_punct("}"):
-            key = self.expect_word("field")
-            if key.text == "objects":
-                self.expect_punct(":")
-                objs = [self.objref()]
-                while self.at_punct(","):
-                    self.next()
-                    objs.append(self.objref())
-                objects = tuple(objs)
-            elif key.text == "order":
-                self.expect_punct(":")
-                order = self.expect_word("order kind").text
-                if order not in ("chain", "discrete", "grid"):
-                    self.fail(f"unknown order kind {order!r}", key)
-            elif key.text == "default":
-                self.expect_punct(":")
-                default = self.value_tree()
-            elif key.text == "hom":
-                self.expect_punct("{")
-                while not self.at_punct("}"):
-                    ft = self.peek()
-                    src = self.objref()
-                    self.expect_arrow()
-                    dst = self.objref()
-                    self.expect_punct(":")
-                    entries.append((src, dst, self.value_tree(), Loc(ft.line, ft.col)))
-                self.expect_punct("}")
-            else:
-                self.fail(f"unknown category field {key.text!r}", key)
-        self.expect_punct("}")
-        if objects is None:
-            self.fail(f"category {name!r} has no objects field", kw)
-        return CategoryDecl(
-            name, quantale, objects, order, default, tuple(entries), None, None,
-            Loc(kw.line, kw.col),
-        )
+        if t.kind == "word" or t.kind == "string":
+            return ("atom", t.text, t)
+        if t.kind == "punct" and t.text == "[":
+            tree = ("set", self.listed(self.obj, "]"), t)
+        elif t.kind == "punct" and t.text == "(":
+            tree = ("tuple", self.listed(self.value, ")"), t)
+        else:
+            self.fail(f"expected a value, found {t.text!r}", t)
+        self.next()
+        return tree
 
-    def map_stmt(self):
-        kw = self.next()
-        name = self.decl_name("map name")
-        self.expect_punct("=")
-        kind_tok = self.expect_word("map kind")
-        kind = kind_tok.text
-        if kind not in MAP_KINDS:
-            self.fail(f"unknown map kind {kind!r}", kind_tok)
-        self.expect_punct("(")
-        source = self.expect_word("quantale name").text
-        self.expect_arrow()
-        target = self.expect_word("quantale name").text
-        params = {}
-        while self.at_punct(","):
-            self.next()
-            key = self.expect_word("parameter name").text
-            self.expect_punct("=")
-            val = self.expect_word("parameter value").text
-            params[key] = _param_value(val)
-        self.expect_punct(")")
-        table_entries = []
-        if self.at_punct("{"):
-            if kind != "table":
-                self.fail(f"map kind {kind!r} takes no table block", kind_tok)
-            self.next()
-            while not self.at_punct("}"):
-                ft = self.peek()
-                src = self.value_tree()
-                self.expect_arrow()
-                dst = self.value_tree()
-                table_entries.append((src, dst, Loc(ft.line, ft.col)))
-            self.expect_punct("}")
-        elif kind == "table":
-            self.fail("table map needs a { from -> to ... } block", kind_tok)
-        return MapDecl(
-            name, kind, source, target, params, tuple(table_entries),
-            Loc(kw.line, kw.col),
-        )
-
-    def catalog_stmt(self):
-        kw = self.next()
-        name = self.decl_name("catalog name")
-        self.expect_punct("{")
-        parts = []
-        while not self.at_punct("}"):
-            pt = self.expect_keyword("part")
-            pname = self.objref()
-            self.expect_keyword("requires")
-            req = self.objref()
-            self.expect_keyword("provides")
-            prov = self.objref()
-            parts.append((pname, req, prov, Loc(pt.line, pt.col)))
-        self.expect_punct("}")
-        return CatalogDecl(name, tuple(parts), Loc(kw.line, kw.col))
-
-    def problem_stmt(self):
-        kw = self.next()
-        name = self.decl_name("problem name")
-        self.expect_punct(":")
-        source = self.expect_word("category name").text
-        self.expect_arrow()
-        target = self.expect_word("category name").text
-        self.expect_punct("{")
-        default, entries = None, []
-        while not self.at_punct("}"):
-            key = self.expect_word("field")
-            if key.text == "default":
-                self.expect_punct(":")
-                default = self.value_tree()
-            elif key.text == "values":
-                self.expect_punct("{")
-                while not self.at_punct("}"):
-                    ft = self.peek()
-                    src = self.objref()
-                    self.expect_arrow()
-                    dst = self.objref()
-                    self.expect_punct(":")
-                    entries.append((src, dst, self.value_tree(), Loc(ft.line, ft.col)))
-                self.expect_punct("}")
-            else:
-                self.fail(f"unknown problem field {key.text!r}", key)
-        self.expect_punct("}")
-        return ProblemDecl(
-            name, source, target, default, tuple(entries), Loc(kw.line, kw.col)
-        )
-
-    def diagram_stmt(self):
-        kw = self.next()
-        name = self.decl_name("diagram name")
-        self.expect_punct("=")
-        expr = self.dexpr()
-        return DiagramDecl(name, expr, Loc(kw.line, kw.col))
-
-    def dexpr(self):
-        t = self.expect_word("diagram expression")
-        if not self.at_punct("("):
+    def expr(self):
+        t = self.word("diagram expression")
+        if not self.at("("):
             return ("ref", t.text)
-        if t.text not in DIAGRAM_OPS:
+        sig = DIAGRAM_OPS.get(t.text)
+        if sig is None:
             self.fail(f"unknown diagram operator {t.text!r}", t)
-        sig = DIAGRAM_OPS[t.text]
-        self.expect_punct("(")
+        self.next()
         args = []
         for i, slot in enumerate(sig):
             if i:
-                self.expect_punct(",")
-            if slot == "expr":
-                args.append(self.dexpr())
-            else:
-                args.append(self.expect_word("name").text)
-        self.expect_punct(")")
-        return (t.text,) + tuple(args)
+                self.expect(",")
+            args.append(self.expr() if slot == "expr" else self.word("name").text)
+        self.expect(")")
+        return (t.text, *args)
 
-    def query_stmt(self):
-        kw = self.next()
-        name = self.decl_name("query name")
-        self.expect_punct("{")
-        fields = {}
-        while not self.at_punct("}"):
-            key = self.expect_word("field")
-            if key.text not in ("diagram", "resource", "functionality"):
-                self.fail(f"unknown query field {key.text!r}", key)
-            self.expect_punct(":")
-            fields[key.text] = (
-                self.expect_word("diagram name").text
-                if key.text == "diagram"
-                else self.objref()
-            )
-        self.expect_punct("}")
-        for req in ("diagram", "resource", "functionality"):
-            if req not in fields:
-                self.fail(f"query {name!r} is missing the {req} field", kw)
-        return QueryDecl(
-            name, fields["diagram"], fields["resource"], fields["functionality"],
-            Loc(kw.line, kw.col),
-        )
+    def params(self) -> dict:
+        params = {}
+        while self.at(","):
+            self.next()
+            key = self.word("parameter name")
+            if key.text in params:
+                self.fail(f"repeated map parameter {key.text!r}", key)
+            self.expect("=")
+            params[key.text] = _number(self.word("parameter value").text)
+        return params
 
-    def sweep_stmt(self):
-        kw = self.next()
-        name = self.decl_name("sweep name")
-        self.expect_punct("{")
-        diagram = None
-        while not self.at_punct("}"):
-            key = self.expect_word("field")
-            if key.text != "diagram":
-                self.fail(f"unknown sweep field {key.text!r}", key)
-            self.expect_punct(":")
-            diagram = self.expect_word("diagram name").text
-        self.expect_punct("}")
-        if diagram is None:
-            self.fail(f"sweep {name!r} is missing the diagram field", kw)
-        return SweepDecl(name, diagram, Loc(kw.line, kw.col))
+    def document(self) -> list:
+        decls = []
+        while self.peek().kind != "eof":
+            kw = self.next()
+            if kw.kind != "word":
+                self.fail(f"expected a declaration keyword, found {kw.text!r}", kw)
+            if kw.text not in SYNTAX:
+                self.fail(f"unknown declaration {kw.text!r}", kw)
+            self.name = self.word(f"{kw.text} name").text
+            self.kw = kw
+            fields = {}
+            _read(self, SYNTAX[kw.text], fields)
+            decls.append(Decl(kw.text, self.name, fields, kw))
+            self.name = None
+        return decls
 
 
-def _param_value(text: str):
+def _number(text: str):
     try:
         return int(text)
     except ValueError:
@@ -611,10 +224,246 @@ def _param_value(text: str):
     try:
         return float(text)
     except ValueError:
-        pass
-    return text
+        return text
+
+
+# -- the syntax items ---------------------------------------------------------
+#
+# A row of SYNTAX is a tuple of items.  A str is a literal token, written
+# as given and read without its blanks.  The other items read into a
+# declaration's fields and write them back; indent is the indentation of
+# the line they are written on.
+
+
+def _read(p: _Parser, items, fields: dict):
+    for item in items:
+        if item.__class__ is str:
+            p.expect(item.strip())
+        else:
+            item.read(p, fields)
+
+
+def _write(items, fields: dict, indent: str) -> str:
+    return "".join(
+        item if item.__class__ is str else item.write(fields, indent)
+        for item in items
+    )
+
+
+class Field:
+    """One field: a parser rule reads its value, text writes it back."""
+
+    def __init__(self, name: str, rule, text=str):
+        self.name, self.rule, self.text = name, rule, text
+
+    def read(self, p, fields):
+        fields[self.name] = self.rule(p)
+
+    def write(self, fields, indent):
+        return self.text(fields[self.name])
+
+
+class Choice:
+    """Branches chosen by the next token.  A named choice keeps that token
+    in its field; an unnamed one is written as the branch whose first field
+    is given.  what names an open set of keywords in errors."""
+
+    def __init__(self, name, what, branches: dict):
+        self.name, self.what, self.branches = name, what, branches
+        self.by_token = {key.strip(): items for key, items in branches.items()}
+
+    def read(self, p, fields):
+        t = p.next()
+        items = self.by_token.get(t.text) if t.kind != "string" else None
+        if items is None:
+            if self.what is None:
+                keys = " or ".join(map(repr, self.by_token))
+                p.fail(f"expected {keys}, found {t.text!r}", t)
+            if t.kind != "word":
+                p.fail(f"expected {self.what}, found {t.text!r}", t)
+            p.fail(f"unknown {self.what} {t.text!r}", t)
+        if self.name:
+            fields[self.name] = t.text
+        _read(p, items, fields)
+
+    def write(self, fields, indent):
+        if self.name is None:
+            key = next(
+                key for key, items in self.branches.items()
+                if next(i for i in items if i.__class__ is not str).name in fields
+            )
+        else:
+            key = fields[self.name]
+            if key not in self.branches:
+                raise ModelError(f"unknown {self.what} {key!r}")
+        return key + _write(self.branches[key], fields, indent)
+
+
+class Block:
+    """A block of keyed fields `{ key ... }`.  Each key is the name of the
+    field its items read, and may appear once."""
+
+    def __init__(self, keys: dict, required=()):
+        self.keys, self.required = keys, required
+
+    def read(self, p, fields):
+        p.expect("{")
+        kind = p.kw.text
+        while not p.at("}"):
+            key = p.word("field")
+            if key.text not in self.keys:
+                p.fail(f"unknown {kind} field {key.text!r}", key)
+            if key.text in fields:
+                p.fail(f"repeated {kind} field {key.text!r}", key)
+            _read(p, self.keys[key.text], fields)
+        p.next()
+        for key in self.required:
+            if key not in fields:
+                p.fail(f"{kind} {p.name!r} is missing the {key} field", p.kw)
+
+    def write(self, fields, indent):
+        inner = indent + "  "
+        lines = "".join(
+            f"\n{inner}{key}{_write(items, fields, inner)}"
+            for key, items in self.keys.items()
+            if key in fields
+        )
+        return f" {{{lines}\n{indent}}}"
+
+
+class Entries:
+    """A block of entries `{ entry ... }`.  Each entry is read by the same
+    items into a tuple of their values followed by its first token."""
+
+    def __init__(self, name: str, items, optional: bool = False):
+        self.name, self.items, self.optional = name, items, optional
+        self.names = [i.name for i in items if i.__class__ is not str]
+
+    def read(self, p, fields):
+        if self.optional and not p.at("{"):
+            return
+        p.expect("{")
+        entries = []
+        while not p.at("}"):
+            loc = p.peek()
+            entry = {}
+            _read(p, self.items, entry)
+            entries.append((*entry.values(), loc))
+        p.next()
+        fields[self.name] = entries
+
+    def write(self, fields, indent):
+        if self.name not in fields:
+            return ""
+        inner = indent + "  "
+        lines = "".join(
+            f"\n{inner}{_write(self.items, dict(zip(self.names, entry)), inner)}"
+            for entry in fields[self.name]
+        )
+        return f" {{{lines}\n{indent}}}"
+
+
+def _name_text(name: str) -> str:
+    if "\n" in name or "\r" in name:
+        raise ModelError(f"object name {name!r} spans lines and cannot be written")
+    return name_token(name)
+
+
+def _names_text(names) -> str:
+    return ", ".join(map(_name_text, names))
+
+
+def _params_text(params: dict) -> str:
+    return "".join(
+        f", {k}={_fmt_number(v) if isinstance(v, float) else v}"
+        for k, v in sorted(params.items())
+    )
+
+
+def _expr_text(expr) -> str:
+    op, *args = expr
+    if op == "ref":
+        return args[0]
+    return op + "(" + ", ".join(
+        _expr_text(a) if slot == "expr" else a for slot, a in zip(DIAGRAM_OPS[op], args)
+    ) + ")"
+
+
+def _word(name, what):
+    return Field(name, lambda p: p.word(what).text)
+
+
+def _obj(name):
+    return Field(name, _Parser.obj, _name_text)
+
+
+def _value(name):
+    return Field(name, _Parser.value)
+
+
+_NAMES = Field("args", lambda p: p.listed(p.obj, ")"), _names_text)
+_CELL = (_obj("from"), " -> ", _obj("to"), " : ", _value("value"))
+
+SYNTAX = {
+    "quantale": (" = ", Choice("kind", "quantale kind", {
+        "bool": (), "cost": (), "nat": (), "pace": (),
+        "fuzz": ("(", Field("args", lambda p: (p.word("t-norm").text,), _names_text), ")"),
+        "powerset": ("(", _NAMES, ")"),
+        "product": ("(", _NAMES, ")"),
+    })),
+    "category": (Choice(None, None, {
+        " over ": (_word("quantale", "quantale name"), Block({
+            "objects": (": ", Field("objects", _Parser.objects, _names_text)),
+            "order": (": ", Choice("order", "order kind", {
+                "chain": (), "discrete": (), "grid": (),
+            })),
+            "default": (": ", _value("default")),
+            "hom": (Entries("hom", _CELL),),
+        }, required=("objects",))),
+        " = ": (Choice("form", None, {
+            "tensor": (
+                "(", _word("first", "category name"),
+                ", ", _word("second", "category name"), ")",
+            ),
+            "pushforward": (
+                "(", _word("first", "category name"),
+                ", ", _word("second", "map name"), ")",
+            ),
+        }),),
+    }),),
+    "map": (" = ", Choice("kind", "map kind", dict.fromkeys(MAP_KINDS, (
+        "(", _word("source", "quantale name"), " -> ", _word("target", "quantale name"),
+        Field("params", _Parser.params, _params_text), ")",
+        Entries("entries", (_value("from"), " -> ", _value("to")), optional=True),
+    )))),
+    "catalog": (Entries("parts", (
+        "part ", _obj("part"), " requires ", _obj("requires"), " provides ", _obj("provides"),
+    )),),
+    "problem": (
+        " : ", _word("source", "category name"), " -> ", _word("target", "category name"),
+        Block({
+            "default": (": ", _value("default")),
+            "values": (Entries("values", _CELL),),
+        }),
+    ),
+    "diagram": (" = ", Field("expr", _Parser.expr, _expr_text)),
+    "query": (Block({
+        "diagram": (": ", _word("diagram", "diagram name")),
+        "resource": (": ", _obj("resource")),
+        "functionality": (": ", _obj("functionality")),
+    }, required=("diagram", "resource", "functionality")),),
+    "sweep": (Block({
+        "diagram": (": ", _word("diagram", "diagram name")),
+    }, required=("diagram",)),),
+}
 
 
 def parse_model(text: str, entity: str = None):
     """Parse model text into declaration records (no name resolution)."""
-    return _Parser(tokenize(text, entity), entity).document()
+    return _Parser(tokenize(text), entity).document()
+
+
+def write_decl(kind: str, name: str, fields: dict) -> str:
+    """The canonical text of one declaration, from the fields a parse of
+    it would give (with each value already written as text)."""
+    return f"{kind} {name}{_write(SYNTAX[kind], fields, '')}"

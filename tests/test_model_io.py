@@ -55,6 +55,8 @@ SYNTAX_IN_DECLS = [
      "expected ':', found '1'", 2, 30),
     ("category", "quantale C = cost\ncategory W over C { objects x }\n",
      "expected ':', found 'x'", 2, 29),
+    ("quantale", 'quantale C = cost\nquantale S = powerset(a, "b\n',
+     "unterminated string", 2, 26),
 ]
 
 

@@ -1,13 +1,20 @@
-"""The model format's diagnostics: one pinned case per error site, and
-mutated shipped models that must fail only with located ModelErrors."""
+"""The model format's diagnostics and round trips: one pinned case per
+error site, mutated shipped models that must fail only with located
+ModelErrors, and names that render must write so that loads reads them
+back."""
 
 import pathlib
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qodesign import ModelError, loads
+from qodesign import ModelDocument, ModelError, loads
+from qodesign.categories import chain_category
+from qodesign.lax import Catalog, CatalogPart
+from qodesign.problems import identity_problem
+from qodesign.quantales import cost_quantale, make_powerset
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qodesign" / "models"
 SHIPPED = ["tracking", "tracking_bool", "uav_cost", "uav_powerset"]
@@ -19,13 +26,14 @@ X = C + "category X over C { objects: a, b  order: chain }\n"
 ERRORS = [
     # the tokenizer
     ("string-at-newline", 'quantale S = powerset("a\n, b)\n',
-     "unterminated string", 1, 23, "m"),
-    ("string-at-eof", 'quantale S = powerset("a', "unterminated string", 1, 23, "m"),
+     "unterminated string", 1, 23, "S"),
+    ("string-at-eof", 'quantale S = powerset("a', "unterminated string", 1, 23, "S"),
     ("stray-minus", C + "category X over C { objects: -a }\n",
-     "stray '-' (names may not start with '-')", 2, 30, "m"),
+     "stray '-' (names may not start with '-')", 2, 30, "X"),
     ("bad-character", C + "category X over C { objects: a $ }\n",
-     "unexpected character '$'", 2, 32, "m"),
-    ("eof-after-comment", "quantale C = # cost", "expected quantale kind, found ''", 1, 14, "C"),
+     "unexpected character '$'", 2, 32, "X"),
+    ("bad-character-between-declarations", C + "$\n", "unexpected character '$'", 2, 1, "m"),
+    ("eof-after-comment", "quantale C = # cost", "expected quantale kind, found ''", 1, 20, "C"),
     # between declarations
     ("declaration-keyword", C + "{ }\n", "expected a declaration keyword, found '{'", 2, 1, "m"),
     ("unknown-declaration", "quant C = cost\n", "unknown declaration 'quant'", 1, 1, "m"),
@@ -44,7 +52,7 @@ ERRORS = [
     ("over-or-equals", C + "category X of C { }\n",
      "expected 'over' or '=', found 'of'", 2, 12, "X"),
     ("category-constructor", C + "category Y = (A, B)\n",
-     "expected category constructor, found '('", 2, 14, "Y"),
+     "expected 'tensor' or 'pushforward', found '('", 2, 14, "Y"),
     ("tensor-or-pushforward", C + "category Y = product(A, B)\n",
      "expected 'tensor' or 'pushforward', found 'product'", 2, 14, "Y"),
     ("tensor-comma", C + "category Y = tensor(A B)\n", "expected ',', found 'B'", 2, 23, "Y"),
@@ -62,13 +70,13 @@ ERRORS = [
     ("order-kind", C + 'category X over C { objects: a  order: "chain" }\n',
      "expected order kind, found 'chain'", 2, 40, "X"),
     ("unknown-order-kind", C + "category X over C {\n  objects: a\n  order: total\n}\n",
-     "unknown order kind 'total'", 4, 3, "X"),
+     "unknown order kind 'total'", 4, 10, "X"),
     ("hom-arrow", C + "category X over C { objects: a  hom { a a : 0 } }\n",
      "expected '->', found 'a'", 2, 41, "X"),
     ("hom-value", C + "category X over C { objects: a  hom { a -> a : } }\n",
      "expected a value, found '}'", 2, 48, "X"),
     ("missing-objects", C + "category X over C { order: chain }\n",
-     "category 'X' has no objects field", 2, 1, "X"),
+     "category 'X' is missing the objects field", 2, 1, "X"),
     # value trees
     ("value-set-element", X + "problem p : X -> X { default: [a, {] }\n",
      "expected an object name, found '{'", 3, 35, "p"),
@@ -84,9 +92,9 @@ ERRORS = [
     ("parameter-value", C + 'map m = scale(C -> C, factor="2")\n',
      "expected parameter value, found '2'", 2, 30, "m"),
     ("no-table-block", C + "map m = identity(C -> C) { 1 -> 2 }\n",
-     "map kind 'identity' takes no table block", 2, 9, "m"),
+     "map kind 'identity' takes no table block", 2, 1, "m"),
     ("table-needs-block", C + "map m = table(C -> C)\nquantale B = bool\n",
-     "table map needs a { from -> to ... } block", 2, 9, "m"),
+     "table map needs a { from -> to ... } block", 2, 1, "m"),
     ("table-arrow", C + "map m = table(C -> C) { 1 2 }\n", "expected '->', found '2'", 2, 27, "m"),
     # catalog
     ("catalog-part", "catalog k { piece a requires x provides y }\n",
@@ -124,6 +132,21 @@ ERRORS = [
     ("unknown-sweep-field", "sweep s { table: d }\n", "unknown sweep field 'table'", 1, 11, "s"),
     ("sweep-missing-diagram", "sweep s { }\n", "sweep 's' is missing the diagram field", 1, 1, "s"),
     ("sweep-colon", "sweep s { diagram d }\n", "expected ':', found 'd'", 1, 19, "s"),
+    # a field or a map parameter given twice
+    ("repeated-objects", C + "category X over C { objects: a, b  objects: c }\n",
+     "repeated category field 'objects'", 2, 36, "X"),
+    ("repeated-hom", C + "category X over C { objects: a  hom { }  hom { } }\n",
+     "repeated category field 'hom'", 2, 42, "X"),
+    ("repeated-default", X + "problem p : X -> X {\n  default: 1\n  default: 2\n}\n",
+     "repeated problem field 'default'", 5, 3, "p"),
+    ("repeated-values", X + "problem p : X -> X { values { }  values { } }\n",
+     "repeated problem field 'values'", 3, 34, "p"),
+    ("repeated-parameter", C + "map s = scale(C -> C, factor=2, factor=3)\n",
+     "repeated map parameter 'factor'", 2, 33, "s"),
+    ("repeated-query-field", "query q { diagram: d  diagram: e }\n",
+     "repeated query field 'diagram'", 1, 23, "q"),
+    ("repeated-sweep-field", "sweep s { diagram: d  diagram: e }\n",
+     "repeated sweep field 'diagram'", 1, 23, "s"),
 ]
 
 
@@ -165,3 +188,54 @@ def test_mutated_shipped_models_fail_only_with_located_model_errors(name):
             loads(mutant, name)
         except ModelError as err:
             assert err.line is not None and err.column is not None, (mutant, err)
+
+
+# ---------------------------------------------------------------------------
+# render writes only what loads reads back
+
+
+def test_declaration_names_must_be_bare_words():
+    doc = ModelDocument("names")
+    c = doc.add_quantale("C", cost_quantale())
+    with pytest.raises(ModelError) as info:
+        doc.add_category("my cat", chain_category(c, ("a",)), ("chain",))
+    assert (info.value.message, info.value.entity) == (
+        "category name 'my cat' is not a bare word", "my cat",
+    )
+    assert "my cat" not in doc.categories
+
+
+def test_render_refuses_an_object_name_that_spans_lines():
+    doc = ModelDocument("names")
+    c = doc.add_quantale("C", cost_quantale())
+    doc.add_category("X", chain_category(c, ("a", "b\nc")), ("chain",))
+    with pytest.raises(ModelError) as info:
+        doc.render()
+    assert (info.value.message, info.value.entity) == (
+        "object name 'b\\nc' spans lines and cannot be written", "X",
+    )
+
+
+_PIECES = ['"', "\\", "-", "->", "#", " ", "é", "λ", "中", "(", ",", ")", "a", "b", "1"]
+_NAMES = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+def test_object_names_survive_render_and_load(names):
+    doc = ModelDocument("names")
+    c = doc.add_quantale("C", cost_quantale())
+    s = doc.add_quantale("S", make_powerset(names, "S"))
+    x = doc.add_category("X", chain_category(c, names), ("chain",))
+    doc.add_category("Y", chain_category(s, names))  # written as a hom table of sets
+    doc.add_problem("p", identity_problem(x), "X", "X")
+    doc.add_catalog("k", Catalog("k", tuple(CatalogPart(n, n, n) for n in names)))
+    doc.add_query("q", "p", names[0], names[-1])
+    text = doc.render()
+    twin = loads(text, "names")
+    assert twin.render() == text
+    assert twin.categories["X"].objects == twin.categories["Y"].objects == tuple(names)
+    assert set(twin.quantales["S"].params["base"]) == set(names)
+    assert [p.name for p in twin.catalogs["k"].parts] == names
+    assert (twin.queries["q"].resource, twin.queries["q"].functionality) == (names[0], names[-1])
+    assert twin.categories["Y"].hom == doc.categories["Y"].hom
