@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from qodesign import ModelDocument, ModelError, loads
 from qodesign.categories import chain_category
-from qodesign.lax import Catalog, CatalogPart
+from qodesign.lax import MAP_KINDS, Catalog, CatalogPart
+from qodesign.model.parser import DIAGRAM_OPS, SYNTAX, Choice, parse_model
 from qodesign.problems import identity_problem
 from qodesign.quantales import cost_quantale, make_powerset
 
@@ -239,3 +240,26 @@ def test_object_names_survive_render_and_load(names):
     assert [p.name for p in twin.catalogs["k"].parts] == names
     assert (twin.queries["q"].resource, twin.queries["q"].functionality) == (names[0], names[-1])
     assert twin.categories["Y"].hom == doc.categories["Y"].hom
+
+
+# ---------------------------------------------------------------------------
+# the user documentation states the same format
+
+DOCS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "model_format.md"
+
+
+def test_the_format_doc_agrees_with_the_syntax():
+    text = DOCS.read_text()
+    fenced = re.compile(r"^```\n(.*?)^```$", re.M | re.S)
+    blocks = fenced.findall(text)
+    assert len(blocks) > 10
+    for block in blocks:
+        parse_model(block)
+    complete = fenced.search(text, text.index("\n## A complete file\n")).group(1)
+    assert loads(complete, "tracking").render() == (MODELS_DIR / "tracking.model").read_text()
+    code = "\n".join(blocks)
+    for kind in SYNTAX:
+        assert f"`{kind}`" in text, kind
+    quantale_kinds = next(i for i in SYNTAX["quantale"] if isinstance(i, Choice)).branches
+    for name in (*quantale_kinds, *MAP_KINDS, *DIAGRAM_OPS):
+        assert re.search(rf"= {name}\b", code), name
