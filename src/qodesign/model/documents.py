@@ -706,7 +706,7 @@ def _problem_fields(doc: ModelDocument, name: str) -> dict:
 
 
 _FIELDS = {
-    "quantale": lambda doc, name: dict(zip(("kind", "args"), (doc._qspec[name][0], doc._qspec[name][1:]))),
+    "quantale": lambda doc, name: {"kind": doc._qspec[name][0], "args": doc._qspec[name][1:]},
     "category": _category_fields,
     "map": _map_fields,
     "catalog": lambda doc, name: {
@@ -782,10 +782,8 @@ def _fill_matrix(q, row_names, col_names, entries, default, diag_unit, entity):
 def _build_category(doc: ModelDocument, decl: Decl):
     f = decl.fields
     if "form" in f:
-        if f["form"] == "tensor":
-            doc.add_tensor_category(decl.name, f["first"], f["second"])
-        else:
-            doc.add_pushforward_category(decl.name, f["first"], f["second"])
+        add = doc.add_tensor_category if f["form"] == "tensor" else doc.add_pushforward_category
+        add(decl.name, f["first"], f["second"])
         return
     q = doc._get("quantale", f["quantale"])
     objs = f["objects"]
