@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qodesign import ModelDocument, ModelError, loads
 from qodesign.categories import chain_category
-from qodesign.lax import MAP_KINDS, Catalog, CatalogPart
+from qodesign.lax import MAP_KINDS, Catalog, CatalogPart, LaxMap
 from qodesign.model.parser import DIAGRAM_OPS, SYNTAX, Choice, parse_model
 from qodesign.problems import identity_problem
 from qodesign.quantales import cost_quantale, make_powerset
@@ -215,6 +215,15 @@ def test_render_refuses_an_object_name_that_spans_lines():
     assert (info.value.message, info.value.entity) == (
         "object name 'b\\nc' spans lines and cannot be written", "X",
     )
+
+
+def test_render_refuses_a_map_kind_the_format_has_no_row_for():
+    doc = ModelDocument("maps")
+    c = doc.add_quantale("C", cost_quantale())
+    doc.add_map("half", LaxMap("half", c, c, lambda v: v / 2, verdict="strict"))
+    with pytest.raises(ModelError) as info:
+        doc.render()
+    assert (info.value.message, info.value.entity) == ("unknown map kind 'custom'", "half")
 
 
 _PIECES = ['"', "\\", "-", "->", "#", " ", "é", "λ", "中", "(", ",", ")", "a", "b", "1"]
