@@ -72,14 +72,13 @@ def tokenize(text: str) -> list:
         if kind == "nl":
             line, bol = line + 1, m.end()
             continue
-        body = m.group(kind)
+        body, col = m.group(kind), m.start() - bol + 1
         if kind == "error":
-            body = _LEXICAL.get(body, f"unexpected character {body!r}")
-        elif kind == "string" and "\\" in body:
-            body = _ESCAPE.sub(r"\1", body)
-        toks.append(Token(kind, body, line, m.start() - bol + 1))
-        if kind == "error":
+            toks.append(Token(kind, _LEXICAL.get(body, f"unexpected character {body!r}"), line, col))
             break
+        if kind == "string" and "\\" in body:
+            body = _ESCAPE.sub(r"\1", body)
+        toks.append(Token(kind, body, line, col))
     toks.append(Token("eof", "", line, len(text) - bol + 1))
     return toks
 
