@@ -336,6 +336,11 @@ def _table(source, target, name, params):
         (source.normalize(k), target.normalize(v)) for k, v in params["entries"]
     ]
     _expect(len(rows) > 0, "table must have entries")
+    for i, (k, _) in enumerate(rows):
+        _expect(
+            not any(source.equal(k, seen) for seen, _ in rows[:i]),
+            f"duplicate entry for {source.format_value_safe(k)}",
+        )
 
     def lookup(p):
         for k, v in rows:
@@ -441,18 +446,19 @@ class GridClassification:
 def classify_cost_to_bool(grid: Sequence, quantale: Quantale = None) -> GridClassification:
     """Classify every map from a cost grid to bool by laxity.
 
-    The grid must contain 0 and inf.  Multiplication is addition rounded
-    up to the grid (saturating below inf).  Of the 2^n truth tables only
-    the n + 1 monotone ones can be lax: the cost order is reversed, so a
-    monotone table is true on a prefix of the ascending grid.  Each prefix
-    is tried against a table of rounded sums; exactly three families
-    survive: true only on 0, true on all finite points, and constantly
-    true.  The three are returned labeled even when small grids make some
-    of their tables coincide.
+    The grid must contain 0 and inf; points equal in the quantale (within
+    its float tolerance) count once, as the smallest.  Multiplication is
+    addition rounded up to the grid (saturating below inf).  Of the 2^n
+    truth tables only the n + 1 monotone ones can be lax: the cost order
+    is reversed, so a monotone table is true on a prefix of the ascending
+    grid.  Each prefix is tried against a table of rounded sums; exactly
+    three families survive: true only on 0, true on all finite points, and
+    constantly true.  The three are returned labeled even when small grids
+    make some of their tables coincide.
     """
     cq = quantale if quantale is not None else cost_quantale()
     _expect(cq.kind in _COST_LIKE, "grid must live in a cost-like quantale")
-    pts = sorted({cq.normalize(g) for g in grid})
+    pts = _dedup(cq, sorted({cq.normalize(g) for g in grid}))
     if 0 not in pts or math.inf not in pts:
         raise LaxityError("grid must contain both 0 and inf")
     if len(pts) < 2:

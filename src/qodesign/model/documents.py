@@ -314,6 +314,17 @@ _OPS = {
 }
 
 
+class _Node(NamedTuple):
+    """One composed diagram node: its operator ("ref" for a bare problem),
+    its output, its resolved arguments in DIAGRAM_OPS order, and the
+    NodeStats of its operands followed by its own."""
+
+    op: str
+    out: DesignProblem
+    args: tuple
+    stats: tuple
+
+
 class ModelDocument:
     """Named registries plus diagram evaluation with memoization."""
 
@@ -426,23 +437,9 @@ class ModelDocument:
         )
 
     def add_diagram(self, name: str, expr: tuple):
-        expr = self._normalize_expr(expr)
-        self._check_expr(expr, name)
+        expr = self._resolve(expr, name)
         self._claim("diagram", name)
         self.diagrams[name] = expr
-        return expr
-
-    def _normalize_expr(self, expr):
-        # Accept bare problem/diagram names in expression slots.
-        if isinstance(expr, str):
-            return ("ref", expr)
-        if isinstance(expr, tuple) and expr and expr[0] in DIAGRAM_OPS:
-            sig = DIAGRAM_OPS[expr[0]]
-            if len(expr) == len(sig) + 1:
-                return (expr[0],) + tuple(
-                    self._normalize_expr(a) if slot == "expr" else a
-                    for slot, a in zip(sig, expr[1:])
-                )
         return expr
 
     def add_query(self, name: str, diagram: str, resource: str, functionality: str):
@@ -468,30 +465,40 @@ class ModelDocument:
         if name not in self.problems:
             self._get("diagram", name)
 
-    def _check_expr(self, expr, context: str):
+    def _resolve(self, expr, context: str) -> tuple:
+        """expr with each bare name in an expression slot read as a ref,
+        each node's operator, arity and names checked in slot order."""
+        if isinstance(expr, str):
+            expr = ("ref", expr)
         if not isinstance(expr, tuple) or not expr:
             raise ModelError(f"diagram {context!r}: malformed expression node")
-        op = expr[0]
+        op, args = expr[0], expr[1:]
         if op == "ref":
-            name = expr[1]
-            if name not in self.problems and name not in self.diagrams:
+            if len(args) != 1 or not isinstance(args[0], str):
+                raise ModelError(f"diagram {context!r}: a ref takes exactly one name")
+            if args[0] not in self.problems and args[0] not in self.diagrams:
                 raise ModelError(
                     f"diagram {context!r} references unknown problem or "
-                    f"diagram {name!r}"
+                    f"diagram {args[0]!r}"
                 )
-            return
-        if op not in DIAGRAM_OPS:
+            return expr
+        if not isinstance(op, str) or op not in DIAGRAM_OPS:
             raise ModelError(f"diagram {context!r}: unknown operator {op!r}")
         sig = DIAGRAM_OPS[op]
-        if len(expr) != len(sig) + 1:
+        if len(args) != len(sig):
             raise ModelError(
                 f"diagram {context!r}: {op} takes {len(sig)} arguments"
             )
-        for slot, arg in zip(sig, expr[1:]):
+        resolved = []
+        for slot, arg in zip(sig, args):
             if slot == "expr":
-                self._check_expr(arg, context)
+                arg = self._resolve(arg, context)
+            elif not isinstance(arg, str):
+                raise ModelError(f"diagram {context!r}: {op} takes a {slot} name, not {arg!r}")
             else:
                 self._get(slot, arg)
+            resolved.append(arg)
+        return (op, *resolved)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -500,10 +507,7 @@ class ModelDocument:
 
     def compose(self, name: str) -> DesignProblem:
         """Evaluate a diagram (or bare problem) by name."""
-        if name in self.problems and name not in self.diagrams:
-            return self.problems[name]
-        expr = self._get("diagram", name)
-        return self._eval(expr)
+        return self._node(name).out
 
     def diagram_stats(self, name: str):
         """Composition-node statistics: (stats, composed problem).
@@ -513,51 +517,42 @@ class ModelDocument:
         interface objects for implementation_series, 1 for parallel.
         Nodes are listed in post-order, operands first.
         """
-        if name in self.problems and name not in self.diagrams:
-            return (), self.problems[name]
-        expr = self._get("diagram", name)
-        out = self._eval(expr)
-        stats = []
-        self._node_stats(expr, stats)
-        return tuple(stats), out
+        node = self._node(name)
+        return node.stats, node.out
 
-    def _node_stats(self, expr, stats):
-        """Append the NodeStat of each composition node under expr, reading
-        operands from the cache that composing expr filled."""
+    def _node(self, name: str) -> _Node:
+        self._ref_diagram(name)
+        return self._eval(("ref", name))
+
+    def _eval(self, expr) -> _Node:
+        """The node of a resolved expression, composed once, operands first;
+        a ref is the node of the diagram or problem it names."""
+        node = self._cache.get(expr)
+        if node is not None:
+            return node
         op = expr[0]
         if op == "ref":
-            if expr[1] in self.diagrams:
-                self._node_stats(self.diagrams[expr[1]], stats)
-            return
-        for slot, arg in zip(DIAGRAM_OPS[op], expr[1:]):
-            if slot == "expr":
-                self._node_stats(arg, stats)
-        row = _OPS[op]
-        if row.cut is not None:
-            stats.append(NodeStat(op, row.cut(*self._args(expr)), row.counts))
-
-    def _args(self, expr) -> tuple:
-        """A node's arguments: subexpressions evaluated through the cache,
-        names looked up in the section their slot names."""
-        return tuple(
-            self._eval(arg) if slot == "expr" else self._get(slot, arg)
-            for slot, arg in zip(DIAGRAM_OPS[expr[0]], expr[1:])
-        )
-
-    def _eval(self, expr) -> DesignProblem:
-        key = ("expr", expr)
-        if key in self._cache:
-            return self._cache[key]
-        if expr[0] == "ref":
             name = expr[1]
             if name in self.diagrams:
-                out = self._eval(self.diagrams[name])
+                node = self._eval(self.diagrams[name])
             else:
-                out = self.problems[name]
+                node = _Node(op, self.problems[name], (), ())
         else:
-            out = _OPS[expr[0]].apply(*self._args(expr))
-        self._cache[key] = out
-        return out
+            args, stats = [], []
+            for slot, arg in zip(DIAGRAM_OPS[op], expr[1:]):
+                if slot == "expr":
+                    operand = self._eval(arg)
+                    args.append(operand.out)
+                    stats += operand.stats
+                else:
+                    args.append(self._get(slot, arg))
+            row = _OPS[op]
+            out = row.apply(*args)
+            if row.cut is not None:
+                stats.append(NodeStat(op, row.cut(*args), row.counts))
+            node = _Node(op, out, tuple(args), tuple(stats))
+        self._cache[expr] = node
+        return node
 
     # -- queries and sweeps ------------------------------------------------------
 
@@ -578,13 +573,21 @@ class ModelDocument:
             raise ModelError(
                 "a query needs a diagram, a resource, and a functionality"
             )
-        d = self.compose(diagram)
+        node = self._node(diagram)
+        d = node.out
         _check_member(d.source, resource, "resource")
         _check_member(d.target, functionality, "functionality")
         payload = d.value_payload(resource, functionality)
+        join = _OPS[node.op].join if node.op in _OPS else None
         breakdown = None
-        if verbose:
-            breakdown = self._breakdown(diagram, resource, functionality)
+        if verbose and join is not None:
+            d1, d2 = node.args[:2]
+            q, a, b = join(*node.args)
+            i, j = d1.source.index(resource), d2.target.index(functionality)
+            breakdown = tuple(
+                (m, _value_text(q, v), v)
+                for m, v in zip(d1.target.objects, _terms(q, a, b, i, j))
+            )
         return QueryResult(
             diagram,
             resource,
@@ -593,18 +596,6 @@ class ModelDocument:
             _value_text(d.quantale, payload),
             breakdown,
         )
-
-    def _breakdown(self, diagram: str, resource: str, functionality: str):
-        expr = ("ref", diagram)
-        while expr[0] == "ref" and expr[1] in self.diagrams:
-            expr = self.diagrams[expr[1]]
-        if expr[0] == "ref" or _OPS[expr[0]].join is None:
-            return None
-        args = self._args(expr)
-        d1, d2 = args[:2]
-        q, a, b = _OPS[expr[0]].join(*args)
-        terms = _terms(q, a, b, d1.source.index(resource), d2.target.index(functionality))
-        return tuple((m, _value_text(q, v), v) for m, v in zip(d1.target.objects, terms))
 
     def run_sweep(self, name: str) -> ResultTable:
         spec = self._get("sweep", name)

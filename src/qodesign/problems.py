@@ -231,19 +231,6 @@ def series(d1: DesignProblem, d2: DesignProblem, validate: bool = True) -> Desig
     return _array_problem(q, d1.source, d2.target, table, "series output", validate)
 
 
-def series_breakdown(d1: DesignProblem, d2: DesignProblem, r: str, f: str):
-    """Per-interface-object contributions to a series value.
-
-    Returns ([(mid_object, payload)], joined_payload); the join of the
-    listed payloads is the composite's value at (r, f).
-    """
-    _require_same_interface(d1.target, d2.source, "series interface")
-    q = d1.quantale
-    i, j = d1.source.index(r), d2.target.index(f)
-    terms = list(zip(d1.target.objects, _terms(q, _hom_array(d1), _hom_array(d2), i, j)))
-    return terms, q.join(t for _, t in terms)
-
-
 def _terms(q: Quantale, a, b, i: int, j: int) -> list:
     """The payloads a[i, m] * b[m, j], one per interface object m, that a
     series of tables a and b, in q's mode, joins at (i, j)."""

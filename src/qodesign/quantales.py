@@ -542,6 +542,28 @@ def _law_pool(q: Quantale, samples: int, rng: Random):
     return _dedup(q, pool), False
 
 
+# Each law: its name, its arity, and whether it holds of q at one tuple of
+# payloads; check_laws reports the first tuple of the pool where it fails.
+_LAWS = (
+    ("order reflexive", 1, lambda q, p: q.leq(p, p)),
+    ("order antisymmetric", 2,
+     lambda q, p, r: not (q.leq(p, r) and q.leq(r, p)) or q.equal(p, r)),
+    ("order transitive", 3,
+     lambda q, p, r, s: not (q.leq(p, r) and q.leq(r, s)) or q.leq(p, s)),
+    ("mult associative", 3,
+     lambda q, p, r, s: q.equal(q.mult(q.mult(p, r), s), q.mult(p, q.mult(r, s)))),
+    ("mult commutative", 2, lambda q, p, r: q.equal(q.mult(p, r), q.mult(r, p))),
+    ("unit law", 1, lambda q, p: q.equal(q.mult(q.unit, p), p)),
+    ("mult distributes over join", 3,
+     lambda q, p, r, s: q.equal(
+         q.mult(p, q.join([r, s])), q.join([q.mult(p, r), q.mult(p, s)])
+     )),
+    ("bottom absorbing", 1, lambda q, p: q.equal(q.mult(p, q.bottom), q.bottom)),
+    ("join is upper bound", 2,
+     lambda q, p, r: q.leq(p, j := q.join([p, r])) and q.leq(r, j)),
+)
+
+
 def check_laws(q: Quantale, samples: int = 12, rng: Random = None) -> LawReport:
     """Check the order and quantale laws on a finite sample of the carrier.
 
@@ -551,76 +573,9 @@ def check_laws(q: Quantale, samples: int = 12, rng: Random = None) -> LawReport:
     rng = rng or Random(20240901)
     pool, exhaustive = _law_pool(q, samples, rng)
     checks = []
-
-    def law(name, witness):
-        checks.append(LawCheck(name, witness is None, witness))
-
-    w = None
-    for p in pool:
-        if not q.leq(p, p):
-            w = (p,)
-            break
-    law("order reflexive", w)
-
-    w = None
-    for p, r in itertools.product(pool, repeat=2):
-        if q.leq(p, r) and q.leq(r, p) and not q.equal(p, r):
-            w = (p, r)
-            break
-    law("order antisymmetric", w)
-
-    w = None
-    for p, r, s in itertools.product(pool, repeat=3):
-        if q.leq(p, r) and q.leq(r, s) and not q.leq(p, s):
-            w = (p, r, s)
-            break
-    law("order transitive", w)
-
-    w = None
-    for p, r, s in itertools.product(pool, repeat=3):
-        if not q.equal(q.mult(q.mult(p, r), s), q.mult(p, q.mult(r, s))):
-            w = (p, r, s)
-            break
-    law("mult associative", w)
-
-    w = None
-    for p, r in itertools.product(pool, repeat=2):
-        if not q.equal(q.mult(p, r), q.mult(r, p)):
-            w = (p, r)
-            break
-    law("mult commutative", w)
-
-    w = None
-    for p in pool:
-        if not q.equal(q.mult(q.unit, p), p):
-            w = (p,)
-            break
-    law("unit law", w)
-
-    w = None
-    for p, r, s in itertools.product(pool, repeat=3):
-        lhs = q.mult(p, q.join([r, s]))
-        rhs = q.join([q.mult(p, r), q.mult(p, s)])
-        if not q.equal(lhs, rhs):
-            w = (p, r, s)
-            break
-    law("mult distributes over join", w)
-
-    w = None
-    for p in pool:
-        if not q.equal(q.mult(p, q.bottom), q.bottom):
-            w = (p,)
-            break
-    law("bottom absorbing", w)
-
-    w = None
-    for p, r in itertools.product(pool, repeat=2):
-        joined = q.join([p, r])
-        if not (q.leq(p, joined) and q.leq(r, joined)):
-            w = (p, r)
-            break
-    law("join is upper bound", w)
-
+    for name, arity, holds in _LAWS:
+        w = next((t for t in itertools.product(pool, repeat=arity) if not holds(q, *t)), None)
+        checks.append(LawCheck(name, w is None, w))
     return LawReport(q.name, exhaustive, tuple(checks))
 
 

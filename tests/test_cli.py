@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from qodesign.cli import main
+from qodesign.model import load_model
 
 from test_model_io import NAT_MODEL
 
@@ -102,6 +103,28 @@ def test_query_unknown_object_fails(capsys):
     )
     assert code == 1
     assert "unknown resource" in capsys.readouterr().err
+
+
+SHIPPED_RUNS = [
+    (name, command, entry)
+    for name in ("tracking", "tracking_bool", "uav_cost", "uav_powerset")
+    for command, registry in (("query", "queries"), ("sweep", "sweeps"))
+    for entry in getattr(load_model(MODELS_DIR / f"{name}.model"), registry)
+]
+
+
+@pytest.mark.parametrize("name, command, entry", SHIPPED_RUNS)
+def test_shipped_queries_and_sweeps_print_what_the_document_returns(name, command, entry, capsys):
+    path = str(MODELS_DIR / f"{name}.model")
+    doc = load_model(path)
+    if command == "query":
+        argv = ["query", path, "--name", entry, "--verbose"]
+        want = doc.run_query(entry, verbose=True).format(verbose=True)
+    else:
+        argv = ["sweep", path, "--name", entry]
+        want = doc.run_sweep(entry).format_text()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_sweep_text_table(capsys):

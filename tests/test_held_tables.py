@@ -43,7 +43,7 @@ def _tables(doc) -> list:
     """Every category and problem doc holds, its composed queries' too."""
     for query in doc.queries:
         doc.run_query(query)
-    return [*doc.categories.values(), *doc.problems.values(), *doc._cache.values()]
+    return [*doc.categories.values(), *doc.problems.values(), *(n.out for n in doc._cache.values())]
 
 
 def _shipped(name):

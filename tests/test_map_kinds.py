@@ -104,6 +104,10 @@ PARAMETER_CHECKS = [
     ("powerset_pad_right", P2, make_powerset(["a*x", "a*y", "b*x"]), {},
      "pad target base is not the full pairwise product of the source base with a second base"),
     ("table", B, B, {"entries": []}, "table must have entries"),
+    ("table", B, B, {"entries": [(True, False), (False, False), (True, True)]},
+     "duplicate entry for true"),
+    ("table", C, B, {"entries": [(0, True), (math.inf, False), (0.0, False)]},
+     "duplicate entry for 0"),
     ("scale", C, C, {}, "map kind 'scale' needs parameter 'factor'"),
     ("table", B, B, {}, "map kind 'table' needs parameter 'entries'"),
     ("sqrt_cost", C, C, {"scale": 2}, "map kind 'sqrt_cost' needs parameter 'degree'"),

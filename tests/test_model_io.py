@@ -335,7 +335,7 @@ def test_shipped_queries_decode_no_table(name):
     for query in doc.queries:
         doc.run_query(query, verbose=True)
         # the composed problem, its operands, and every problem under them
-        built = [*doc._cache.values(), *doc.problems.values()]
+        built = [*(n.out for n in doc._cache.values()), *doc.problems.values()]
         composed = doc.compose(doc.queries[query].diagram)
         assert composed in built  # == reads the held arrays: nothing is decoded
         assert not [p for p in built if "values" in vars(p)], query
@@ -512,6 +512,10 @@ def test_every_diagram_op_through_a_document(case):
     stats, out = doc.diagram_stats("d")
     assert out.values == composed.values
     assert stats == (() if stat is None else (NodeStat(op, *stat),))
+    # only a series node has terms to list
+    r, f = out.source.objects[0], out.target.objects[0]
+    breakdown = doc.run_query(diagram="d", resource=r, functionality=f, verbose=True).breakdown
+    assert (breakdown is None) == (op not in ("series", "hetero_series"))
 
     with pytest.raises(ModelError) as info:
         doc.add_diagram("short", (op,) + args[:-1])
@@ -525,6 +529,39 @@ def test_every_diagram_op_through_a_document(case):
     assert message in err.message
     assert err.entity == "d"
     assert (err.line, err.column) == (OPS_MODEL.count("\n") + 1, 1)
+
+
+# a malformed programmatic expression, and the message naming its diagram
+MALFORMED_DIAGRAMS = [
+    (("ref",), "diagram 'd': a ref takes exactly one name"),
+    (("series", ("ref",), "q"), "diagram 'd': a ref takes exactly one name"),
+    (("ref", "p", "q"), "diagram 'd': a ref takes exactly one name"),
+    (("ref", ["p"]), "diagram 'd': a ref takes exactly one name"),
+    (("trace", "l", ["M"]), "diagram 'd': trace takes a category name, not ['M']"),
+    (([], "p"), "diagram 'd': unknown operator []"),
+    (("loop", "p"), "diagram 'd': unknown operator 'loop'"),
+    (("series", ["p"], "q"), "diagram 'd': malformed expression node"),
+    ((), "diagram 'd': malformed expression node"),
+]
+
+
+@pytest.mark.parametrize(
+    "expr, message", MALFORMED_DIAGRAMS, ids=[repr(c[0]) for c in MALFORMED_DIAGRAMS]
+)
+def test_malformed_diagrams_name_their_diagram(expr, message):
+    doc = loads(OPS_MODEL, name="ops")
+    with pytest.raises(ModelError) as info:
+        doc.add_diagram("d", expr)
+    assert info.value.message == message
+    assert "d" not in doc.diagrams
+
+
+def test_verbose_query_on_a_bare_problem_has_no_breakdown():
+    doc = loads(OPS_MODEL + "diagram bare = p\n", name="ops")
+    for diagram in ("bare", "p"):
+        result = doc.run_query(diagram=diagram, resource="r0", functionality="m0", verbose=True)
+        assert result.breakdown is None, diagram
+        assert "via:" not in result.format(verbose=True)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +594,9 @@ DECL_FAILURES = [
      "quantale C = cost\ncategory X over C { objects: a, b  order: chain }\n",
      "problem p : X -> X { default: 1  values { b -> a : inf } }",
      "bimodule"),
+    ("table map with a repeated source", "quantale B = bool\n",
+     "map t = table(B -> B) { true -> false  true -> true  false -> false }",
+     "duplicate entry for true"),
     ("diagram", OPS_MODEL, "diagram d = pushforward(p, nope)", "unknown map 'nope'"),
     ("query", OPS_MODEL, "query d { diagram: nope  resource: r0  functionality: r0 }",
      "unknown diagram 'nope'"),

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qodesign import (
     CompositionError,
     DesignProblem,
+    ModelDocument,
     ProblemError,
     QValue,
     Quantale,
@@ -40,7 +41,6 @@ from qodesign import (
     pareto_front,
     pushforward,
     series,
-    series_breakdown,
     tensor,
     trace,
     upward_closure,
@@ -1050,22 +1050,26 @@ def test_trace_loop_mismatch(rng):
 
 
 def test_series_breakdown_joins_to_composite(rng):
+    """A verbose query on a series or hetero_series diagram lists one term
+    per interface object, each the payload product, joining to the value."""
     for name, mk in wide_families().items():
         q = mk()
-        a = random_category(q, rng, 2, 3)
-        b = random_category(q, rng, 2, 3)
-        c = random_category(q, rng, 2, 3)
-        d1 = random_problem(a, b, rng)
-        d2 = random_problem(b, c, rng)
-        composite = series(d1, d2)
+        doc = ModelDocument()
+        a, b, c = (doc.add_category(n, random_category(q, rng, 2, 3)) for n in "abc")
+        d1 = doc.add_problem("d1", random_problem(a, b, rng))
+        d2 = doc.add_problem("d2", random_problem(b, c, rng))
+        doc.add_map("id", builtin_lax("identity", q, q))
+        doc.add_diagram("s", ("series", "d1", "d2"))
+        doc.add_diagram("h", ("hetero_series", "d1", "d2", "id", "id"))
+        doc.add_diagram("ref", "h")  # a ref explains the node it names
         r, f = a.objects[0], c.objects[-1]
-        terms, joined = series_breakdown(d1, d2, r, f)
-        assert [m for m, _ in terms] == list(b.objects)
-        # each term is the payload product, type for type
         want = [q.mult(d1.values[0][k], d2.values[k][-1]) for k in range(len(b.objects))]
-        assert [(type(v), v) for _, v in terms] == [(type(v), v) for v in want], name
-        assert q.equal(joined, composite.value_payload(r, f))
-        assert q.equal(joined, q.join(v for _, v in terms))
+        for diagram in ("s", "h", "ref"):
+            result = doc.run_query(diagram=diagram, resource=r, functionality=f, verbose=True)
+            terms = result.breakdown
+            assert [m for m, _, _ in terms] == list(b.objects), (name, diagram)
+            assert [(type(v), v) for *_, v in terms] == [(type(v), v) for v in want], name
+            assert q.equal(q.join(v for *_, v in terms), result.value.payload), (name, diagram)
 
 
 def test_evaluate_returns_tagged_value(rng):
